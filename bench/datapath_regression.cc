@@ -5,27 +5,21 @@
 // queues, link pipelines, and the TCP scoreboards.
 //
 // The headline scenario is the paper's canonical N=40 DCTCP incast, run
-// three times in the same process: once on the production datapath
-// (PacketRing FIFOs + flat flow tables), once with the std::deque FIFO
-// reference, and once with the std::map flow-table oracle
-// (SetReferenceFlowTableForTest). All runs must produce bit-identical
-// simulation results —
-// goodput, timeout counts, event counts — which is the determinism gate;
-// the timing delta is the honest in-binary before/after for the container
-// swap. The recorded pre-PR baseline (the seed binary measured with
-// identical flags on the machine that produced DESIGN.md's numbers) is
-// also embedded so the JSON can report speedup against the full pre-PR
-// datapath, which additionally lacked today's copy-chain elimination and
-// wide level-0 timer wheel.
+// three times in the same process. Every run must produce bit-identical
+// simulation results (goodput, timeout counts, event counts): that is
+// the repeatability gate; end-to-end equivalence with earlier datapaths is
+// the golden table's job (tests/golden_test.cc). The perf gate scores the
+// fastest of the draws against a recorded same-container baseline.
 //
-// Component microbenchmarks (ring vs deque, flat vs map scoreboard,
-// ParallelFor dispatch) isolate where the end-to-end delta comes from.
+// Component microbenchmarks (packet ring, flat vs std::map scoreboard and
+// demux table, ParallelFor dispatch) isolate where time goes; the std::map
+// partners come from tests/reference/.
 //
 // Usage: datapath_regression [--smoke] [output.json]   (default: stdout)
 //
 // scripts/perf_regression.sh builds and runs this and writes
 // BENCH_datapath.json at the repo root. Exit status is nonzero when the
-// determinism check fails, so the bench-smoke ctest doubles as a gate.
+// repeatability check fails, so the bench-smoke ctest doubles as a gate.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -40,16 +34,15 @@
 
 #include <unordered_map>
 
-#include "dctcpp/net/host.h"
 #include "dctcpp/net/packet_ring.h"
-#include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/flow_table.h"
 #include "dctcpp/util/interval_set.h"
 #include "dctcpp/util/profile.h"
-#include "dctcpp/util/reference_mode.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
+#include "reference/map_flow_table.h"
+#include "reference/map_interval_set.h"
 
 namespace dctcpp {
 namespace {
@@ -99,23 +92,12 @@ IncastConfig CanonicalConfig(int rounds) {
   return config;
 }
 
-IncastTiming TimedIncast(const char* mode, bool reference_fifo, int rounds,
-                         bool reference_flowmap = false,
-                         bool per_ack_reference = false,
-                         bool scalar_reference = false) {
-  SetReferenceFifoForTest(reference_fifo);
-  SetReferenceFlowTableForTest(reference_flowmap);
-  SetScalarReferenceForTest(scalar_reference);
-  TcpSocket::SetBatchedAckMode(!per_ack_reference);
+IncastTiming TimedIncast(const char* mode, int rounds) {
   prof::Reset();
   prof::HwReset();
   const double start = Now();
   const IncastResult r = RunIncast(CanonicalConfig(rounds));
   const double seconds = Now() - start;
-  SetReferenceFifoForTest(false);
-  SetReferenceFlowTableForTest(false);
-  SetScalarReferenceForTest(false);
-  TcpSocket::SetBatchedAckMode(true);
   return IncastTiming{mode,      seconds,           r.packets_forwarded,
                       r.events,  r.goodput_mbps,    r.timeouts,
                       r.rounds_completed,           prof::Snapshot(),
@@ -132,11 +114,8 @@ struct MicroResult {
 
 /// Bursty FIFO traffic shaped like a switch port under incast: push a
 /// fan-in burst, drain it, repeat. Exercises wrap-around continuously.
-MicroResult FifoPushPop(const char* name, bool reference_fifo,
-                        std::uint64_t total) {
-  SetReferenceFifoForTest(reference_fifo);
-  PacketFifo fifo;
-  SetReferenceFifoForTest(false);
+MicroResult FifoPushPop(const char* name, std::uint64_t total) {
+  PacketRing fifo;
   Packet pkt;
   pkt.payload = kMss;
   std::uint64_t checksum = 0;
@@ -287,55 +266,20 @@ int Main(int argc, char** argv) {
 
   // Warm-up run so first-touch page faults (node pools, ring growth) don't
   // bias whichever mode is measured first.
-  TimedIncast("warmup", false, smoke ? 5 : 30);
+  TimedIncast("warmup", smoke ? 5 : 30);
 
-  const IncastTiming optimized = TimedIncast("ring", false, rounds);
-  const IncastTiming reference = TimedIncast("reference_deque", true, rounds);
-  const IncastTiming ref_flowmap =
-      TimedIncast("reference_flowmap", false, rounds,
-                  /*reference_flowmap=*/true);
-  // Second production-mode draw, deliberately placed mid-bench: the host
-  // occasionally enters multi-second slow windows (observed +-15% on this
-  // container), and draws taken seconds apart decorrelate against them.
-  const IncastTiming ring_mid = TimedIncast("ring_mid", false, rounds);
-  const IncastTiming ref_per_ack =
-      TimedIncast("reference_per_ack", false, rounds,
-                  /*reference_flowmap=*/false, /*per_ack_reference=*/true);
-  // Scalar reference: per-packet wheel pops (no same-tick batch drain), no
-  // lookahead prefetch, and the original three-copy egress chain through
-  // on_wire_/propagating_ — the oracle the burst pipeline must match.
-  const IncastTiming ref_scalar =
-      TimedIncast("reference_scalar", false, rounds,
-                  /*reference_flowmap=*/false, /*per_ack_reference=*/false,
-                  /*scalar_reference=*/true);
-  // Third production-mode run, last in the process. Two jobs: (a) the
-  // determinism gate below also proves ring-vs-ring repeatability (a
-  // use-after-free or stray global would likely break self-agreement
-  // first), and (b) the perf gate scores the best of the three ring draws
-  // — container noise (neighbor load, frequency steps) only ever subtracts
-  // throughput, so max-of-N is the standard way to damp false gate
-  // failures without inflating what the number claims.
-  const IncastTiming ring_rerun = TimedIncast("ring_rerun", false, rounds);
-
-  const auto matches = [&optimized](const IncastTiming& other) {
-    return optimized.goodput_mbps == other.goodput_mbps &&
-           optimized.timeouts == other.timeouts &&
-           optimized.events == other.events &&
-           optimized.packets == other.packets &&
-           optimized.rounds == other.rounds;
-  };
-  bool deterministic = matches(reference) && matches(ref_flowmap) &&
-                       matches(ring_mid) && matches(ref_per_ack) &&
-                       matches(ref_scalar) && matches(ring_rerun);
-
+  const IncastTiming optimized = TimedIncast("ring", rounds);
+  // The micro suite runs between the draws: the host occasionally enters
+  // multi-second slow windows (observed +-15% on this container), and
+  // draws taken seconds apart decorrelate against them.
   std::vector<MicroResult> micro;
-  micro.push_back(FifoPushPop("fifo_ring", false, micro_ops));
-  micro.push_back(FifoPushPop("fifo_deque", true, micro_ops));
+  micro.push_back(FifoPushPop("fifo_ring", micro_ops));
   micro.push_back(
       ScoreboardChurn<IntervalSet>("scoreboard_flat", micro_ops / 4));
   micro.push_back(
       ScoreboardChurn<MapIntervalSet>("scoreboard_map", micro_ops / 4));
   micro.push_back(DispatchOverhead(smoke ? 20'000 : 200'000));
+  const IncastTiming ring_mid = TimedIncast("ring_mid", rounds);
   micro.push_back(DemuxLookup<FlatFlowTable<std::uint32_t>>(
       "demux_flat_n40", 40, micro_ops));
   micro.push_back(DemuxLookup<MapFlowTable<std::uint32_t>>(
@@ -346,6 +290,22 @@ int Main(int argc, char** argv) {
       "demux_map_n1400", 1400, micro_ops));
   micro.push_back(RouteDense(micro_ops, 64));
   micro.push_back(RouteHashMap(micro_ops, 64));
+  // Third draw, last in the process. Two jobs: (a) the repeatability gate
+  // below (a use-after-free or stray global would likely break
+  // self-agreement first), and (b) the perf gate scores the best of the
+  // three draws — container noise (neighbor load, frequency steps) only
+  // ever subtracts throughput, so max-of-N is the standard way to damp
+  // false gate failures without inflating what the number claims.
+  const IncastTiming ring_rerun = TimedIncast("ring_rerun", rounds);
+
+  const auto matches = [&optimized](const IncastTiming& other) {
+    return optimized.goodput_mbps == other.goodput_mbps &&
+           optimized.timeouts == other.timeouts &&
+           optimized.events == other.events &&
+           optimized.packets == other.packets &&
+           optimized.rounds == other.rounds;
+  };
+  bool deterministic = matches(ring_mid) && matches(ring_rerun);
 
   // Perf-gate noise damping (full mode only). The gate compares against a
   // frozen same-container baseline, and this container exhibits
@@ -369,7 +329,7 @@ int Main(int argc, char** argv) {
          gate_retries.size() < 5) {
     std::this_thread::sleep_for(std::chrono::seconds(5));
     gate_retries.push_back(
-        TimedIncast(kRetryNames[gate_retries.size()], false, rounds));
+        TimedIncast(kRetryNames[gate_retries.size()], rounds));
     if (!matches(gate_retries.back())) {
       deterministic = false;
     } else {
@@ -392,11 +352,7 @@ int Main(int argc, char** argv) {
   std::fprintf(out, "  \"rounds\": %d,\n", rounds);
   std::fprintf(out, "  \"incast\": [\n");
   WriteIncast(out, optimized, ",");
-  WriteIncast(out, reference, ",");
-  WriteIncast(out, ref_flowmap, ",");
   WriteIncast(out, ring_mid, ",");
-  WriteIncast(out, ref_per_ack, ",");
-  WriteIncast(out, ref_scalar, ",");
   WriteIncast(out, ring_rerun, gate_retries.empty() ? "" : ",");
   for (std::size_t i = 0; i < gate_retries.size(); ++i) {
     WriteIncast(out, gate_retries[i],
@@ -408,10 +364,6 @@ int Main(int argc, char** argv) {
                "\"goodput_mbps\": %.1f, \"timeouts\": %llu},\n",
                deterministic ? "true" : "false", optimized.goodput_mbps,
                static_cast<unsigned long long>(optimized.timeouts));
-  std::fprintf(out, "  \"speedup_packets_vs_reference_fifo\": %.2f,\n",
-               optimized.PacketsPerSec() / reference.PacketsPerSec());
-  std::fprintf(out, "  \"speedup_packets_vs_reference_scalar\": %.2f,\n",
-               optimized.PacketsPerSec() / ref_scalar.PacketsPerSec());
   // Cross-machine historical baselines (seed commit 5929353, PR-2 commit
   // bd01566) used to be embedded here; their ratios silently read < 1.0x
   // on slower containers and misled readers into seeing a regression. The
@@ -479,20 +431,6 @@ int Main(int argc, char** argv) {
                    cyc > 0 ? instr / cyc : 0.0,
                    static_cast<unsigned long long>(hw.total.cache_misses),
                    static_cast<unsigned long long>(hw.total.branch_misses));
-      // Reference-scalar deltas: what the burst pipeline removed, in the
-      // units that drove the optimisation (misses, not guesses).
-      const prof::HwSnapshotData& ref = ref_scalar.hw;
-      if (ref.available) {
-        std::fprintf(
-            out,
-            ",\n    \"reference_scalar_total\": {\"cycles\": %llu, "
-            "\"instructions\": %llu, \"cache_misses\": %llu, "
-            "\"branch_misses\": %llu}",
-            static_cast<unsigned long long>(ref.total.cycles),
-            static_cast<unsigned long long>(ref.total.instructions),
-            static_cast<unsigned long long>(ref.total.cache_misses),
-            static_cast<unsigned long long>(ref.total.branch_misses));
-      }
     }
     if (hw.available && hw.per_phase) {
       std::fprintf(out, ",\n    \"phases\": [\n");
@@ -532,8 +470,8 @@ int Main(int argc, char** argv) {
 
   if (!deterministic) {
     std::fprintf(stderr,
-                 "datapath_regression: DETERMINISM FAILURE — ring and "
-                 "reference runs diverged\n");
+                 "datapath_regression: DETERMINISM FAILURE — repeated "
+                 "runs diverged\n");
     return 1;
   }
   if (!smoke && gate_speedup < kGateMinSpeedup) {

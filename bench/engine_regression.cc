@@ -20,6 +20,7 @@
 #include "dctcpp/sim/scheduler.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/workload/incast.h"
+#include "reference/heap_scheduler.h"
 
 namespace dctcpp {
 namespace {

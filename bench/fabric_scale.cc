@@ -47,42 +47,6 @@ double Now() {
       .count();
 }
 
-// --- run fingerprint -------------------------------------------------------
-
-std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t FnvDouble(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  return Fnv(h, bits);
-}
-
-/// Every deterministic field of a fabric run, doubles by bit pattern.
-/// Excludes windows_run / sync_rounds / cross_shard_* — scheduling
-/// detail that is partition- and mode-dependent by design.
-std::uint64_t Fingerprint(const FabricRunResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = Fnv(h, static_cast<std::uint64_t>(r.flows_completed));
-  h = Fnv(h, static_cast<std::uint64_t>(r.bytes_delivered));
-  h = Fnv(h, r.fct_ms.count());
-  for (double s : r.fct_ms.samples()) h = FnvDouble(h, s);
-  h = FnvDouble(h, r.goodput_mbps);
-  h = FnvDouble(h, r.sim_seconds);
-  h = Fnv(h, r.events);
-  h = Fnv(h, r.packets_forwarded);
-  h = Fnv(h, r.invariant_violations);
-  h = Fnv(h, r.packets_originated);
-  h = Fnv(h, r.packets_dropped);
-  h = Fnv(h, r.checksum_discards);
-  return h;
-}
-
 unsigned long long Ull(std::uint64_t v) {
   return static_cast<unsigned long long>(v);
 }

@@ -1,13 +1,12 @@
 // google-benchmark microbenchmarks of the control-plane hot path: flow
 // demultiplexing, switch route lookup, and per-simulation arena setup.
 //
-// Each benchmark pairs the production structure with the reference it
-// replaced so the margin stays measurable:
+// Most benchmarks pair the production structure with the reference it
+// replaced (from tests/reference/) so the margin stays measurable:
 //   - BM_FlowTableLookupT<FlatFlowTable> vs <MapFlowTable> at N = 40 (the
 //     canonical incast) and N = 1400 (the paper's massive-concurrency
 //     regime),
-//   - BM_HostDeliver, the real Host::Deliver demux under both backends
-//     (flag-selected, same binary),
+//   - BM_HostDeliver, the real Host::Deliver demux,
 //   - BM_RouteLookup dense vector vs unordered_map,
 //   - BM_ArenaSetup arena bump allocation vs per-object new for a
 //     simulation-setup-shaped burst of small objects.
@@ -23,6 +22,7 @@
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/arena.h"
 #include "dctcpp/util/flow_table.h"
+#include "reference/map_flow_table.h"
 
 namespace dctcpp {
 namespace {
@@ -62,14 +62,11 @@ BENCHMARK_TEMPLATE(BM_FlowTableLookupT, MapFlowTable<std::uint32_t>)
     ->Arg(1400);
 
 /// The real demux path: Host::Deliver through registered connection
-/// handlers, including the handler copy and indirect call. `state.range(1)`
-/// selects the backend (0 = flat, 1 = std::map oracle).
+/// handlers, including the handler copy and indirect call.
 void BM_HostDeliver(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
-  SetReferenceFlowTableForTest(state.range(1) != 0);
   Simulator sim(1);
   Host host(sim, /*id=*/1, "bench");
-  SetReferenceFlowTableForTest(false);
   static std::uint64_t delivered;
   delivered = 0;
   std::vector<Packet> pkts;
@@ -94,8 +91,7 @@ void BM_HostDeliver(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HostDeliver)->Args({40, 0})->Args({40, 1})->Args({1400, 0})
-    ->Args({1400, 1});
+BENCHMARK(BM_HostDeliver)->Arg(40)->Arg(1400);
 
 /// Burst demux: the calendar drain delivers per-flow *runs* (consecutive
 /// packets of one flow), and Host::Deliver's one-entry run cache collapses

@@ -19,6 +19,7 @@
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/workload/incast.h"
+#include "reference/heap_scheduler.h"
 
 namespace dctcpp {
 namespace {

@@ -18,9 +18,8 @@
 // Determinism gate (exit nonzero on failure): for a matrix of small
 // configurations — clean and impaired, adaptive and fixed-window
 // lookahead — the run fingerprint must be bit-identical at shards
-// {1, 2, 4, 8} across different pool sizes, in both the batched-ACK
-// datapath (default) and the per-ACK reference mode, and at every
-// measured N the whole shard sweep must produce one fingerprint. This is
+// {1, 2, 4, 8} across different pool sizes, and at every measured N the
+// whole shard sweep must produce one fingerprint. This is
 // the invariance the ShardDeterminismTest suite asserts, re-run here
 // under Release flags on the actual benchmark workloads.
 //
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "dctcpp/stats/table.h"
-#include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
 
@@ -51,62 +49,6 @@ double Now() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
-}
-
-// --- run fingerprint -------------------------------------------------------
-
-std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t FnvDouble(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  return Fnv(h, bits);
-}
-
-/// Order-sensitive hash over every deterministic field of the result,
-/// doubles by bit pattern. Equal fingerprints == bit-identical summaries.
-/// Deliberately excludes windows_run / sync_rounds / gang_windows /
-/// cross_shard_handoffs: those describe HOW the coordinator scheduled the
-/// run (mode- and partition-dependent by design), not WHAT the simulation
-/// computed.
-std::uint64_t Fingerprint(const IncastResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = Fnv(h, r.rounds_completed);
-  h = FnvDouble(h, r.goodput_mbps);
-  h = Fnv(h, r.fct_ms.count());
-  for (double s : r.fct_ms.samples()) h = FnvDouble(h, s);
-  for (std::int64_t b = r.cwnd_hist.lo(); b <= r.cwnd_hist.hi(); ++b) {
-    h = Fnv(h, r.cwnd_hist.CountAt(b));
-  }
-  h = Fnv(h, r.cwnd_hist.underflow());
-  h = Fnv(h, r.cwnd_hist.overflow());
-  h = Fnv(h, r.timeouts);
-  h = Fnv(h, r.floss_timeouts);
-  h = Fnv(h, r.lack_timeouts);
-  h = Fnv(h, r.fast_retransmits);
-  h = Fnv(h, r.tracked_rounds_at_min_ece);
-  h = Fnv(h, r.tracked_rounds_with_timeout);
-  h = Fnv(h, r.tracked_floss);
-  h = Fnv(h, r.tracked_lack);
-  h = Fnv(h, r.bottleneck_drops);
-  h = Fnv(h, r.bottleneck_marks);
-  h = Fnv(h, static_cast<std::uint64_t>(r.bottleneck_max_queue));
-  h = FnvDouble(h, r.flow_fairness);
-  h = Fnv(h, r.events);
-  h = Fnv(h, r.packets_forwarded);
-  h = FnvDouble(h, r.sim_seconds);
-  h = Fnv(h, r.invariant_violations);
-  h = Fnv(h, r.packets_originated);
-  h = Fnv(h, r.packets_dropped);
-  h = Fnv(h, r.packets_duplicated);
-  h = Fnv(h, r.checksum_discards);
-  return h;
 }
 
 // --- determinism gate ------------------------------------------------------
@@ -152,45 +94,35 @@ bool RunGate() {
     std::uint64_t reference = 0;
     bool have_reference = false;
     for (const auto& v : variants) {
-      // Every variant runs in both ACK-processing modes: the batched
-      // datapath (default) and the per-ACK reference oracle. One shared
-      // reference fingerprint per case means the batch layer must be
-      // bit-invisible at every shard count and pool size.
-      for (const bool per_ack : {false, true}) {
-        IncastConfig config = GateConfig(c.protocol, c.seed, c.impaired);
-        config.shards = v.shards;
-        config.shard_pool = v.pool;
-        config.fixed_window_lookahead = v.fixed_window;
-        TcpSocket::SetBatchedAckMode(!per_ack);
-        const IncastResult r = RunIncast(config);
-        TcpSocket::SetBatchedAckMode(true);
-        const std::uint64_t fp = Fingerprint(r);
-        if (r.invariant_violations != 0) {
-          std::fprintf(
-              stderr,
-              "parallel_scale: GATE FAIL %s seed=%llu shards=%d "
-              "%s %s: %llu invariant violations\n",
-              ToString(c.protocol), static_cast<unsigned long long>(c.seed),
-              v.shards, v.fixed_window ? "fixed" : "adaptive",
-              per_ack ? "per_ack" : "batched",
-              static_cast<unsigned long long>(r.invariant_violations));
-          ok = false;
-        }
-        if (!have_reference) {
-          reference = fp;
-          have_reference = true;
-        } else if (fp != reference) {
-          std::fprintf(
-              stderr,
-              "parallel_scale: GATE FAIL %s seed=%llu: shards=%d %s %s "
-              "fingerprint %016llx != reference %016llx\n",
-              ToString(c.protocol), static_cast<unsigned long long>(c.seed),
-              v.shards, v.fixed_window ? "fixed" : "adaptive",
-              per_ack ? "per_ack" : "batched",
-              static_cast<unsigned long long>(fp),
-              static_cast<unsigned long long>(reference));
-          ok = false;
-        }
+      IncastConfig config = GateConfig(c.protocol, c.seed, c.impaired);
+      config.shards = v.shards;
+      config.shard_pool = v.pool;
+      config.fixed_window_lookahead = v.fixed_window;
+      const IncastResult r = RunIncast(config);
+      const std::uint64_t fp = Fingerprint(r);
+      if (r.invariant_violations != 0) {
+        std::fprintf(
+            stderr,
+            "parallel_scale: GATE FAIL %s seed=%llu shards=%d "
+            "%s: %llu invariant violations\n",
+            ToString(c.protocol), static_cast<unsigned long long>(c.seed),
+            v.shards, v.fixed_window ? "fixed" : "adaptive",
+            static_cast<unsigned long long>(r.invariant_violations));
+        ok = false;
+      }
+      if (!have_reference) {
+        reference = fp;
+        have_reference = true;
+      } else if (fp != reference) {
+        std::fprintf(
+            stderr,
+            "parallel_scale: GATE FAIL %s seed=%llu: shards=%d %s "
+            "fingerprint %016llx != reference %016llx\n",
+            ToString(c.protocol), static_cast<unsigned long long>(c.seed),
+            v.shards, v.fixed_window ? "fixed" : "adaptive",
+            static_cast<unsigned long long>(fp),
+            static_cast<unsigned long long>(reference));
+        ok = false;
       }
     }
   }
@@ -275,7 +207,7 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "shard determinism gate (shards 1/2/4/8, mixed pools, both lookahead "
-      "modes, batched vs per-ACK)...\n");
+      "modes)...\n");
   bool ok = RunGate();
   std::printf("gate: %s\n", ok ? "identical" : "DIVERGED");
 

@@ -2,11 +2,10 @@
 // fault profiles (Gilbert–Elliott burst loss at ~0.1% and ~1%, reordering,
 // corruption, duplication, link flaps, and everything at once) x flow
 // counts x {DCTCP, DCTCP+}, with the always-on invariant checker armed.
-// The harness fails (exit 1) if any run reports an invariant violation, if
-// the thread-pool determinism gate finds a single bit of divergence
-// between pool sizes 1, 2, and 8 on the same seed, or if the batched-ACK
-// datapath diverges from the per-ACK reference mode anywhere on the
-// matrix (serial, pools 1/2/8, shards 1/2/4/8).
+// The harness fails (exit 1) if any run reports an invariant violation, or
+// if the thread-pool or shard-count determinism gate finds a single bit of
+// divergence between pool sizes 1, 2, and 8 or shard counts 1, 2, 4, and
+// 8 on the same seed.
 //
 // Alongside the correctness gates it records the protocol story: how much
 // goodput DCTCP and DCTCP+ each give back as the fault rate grows (the
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "dctcpp/stats/table.h"
-#include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/experiment.h"
 #include "dctcpp/workload/incast.h"
@@ -217,56 +215,6 @@ bool ShardGate(IncastConfig config, const char* label) {
   return ok;
 }
 
-/// Runs the same impaired point in the batched-ACK datapath (default) and
-/// the per-ACK reference mode and demands bit-identical results — serial,
-/// across pools 1/2/8 (sweep-merge path), and across shards 1/2/4/8 (the
-/// parallel engine, where same-tick ACK bursts actually open). The
-/// deferred-emission batch layer must be invisible to every aggregate
-/// under every fault profile.
-bool AckModeGate(IncastConfig config, const char* label) {
-  bool ok = true;
-  {
-    constexpr int kReps = 2;
-    ThreadPool pool1(1);
-    ThreadPool pool2(2);
-    ThreadPool pool8(8);
-    TcpSocket::SetBatchedAckMode(true);
-    const IncastSweepPoint batched = RunIncastPoint(config, kReps, pool1);
-    TcpSocket::SetBatchedAckMode(false);
-    const IncastSweepPoint ref1 = RunIncastPoint(config, kReps, pool1);
-    const IncastSweepPoint ref2 = RunIncastPoint(config, kReps, pool2);
-    const IncastSweepPoint ref8 = RunIncastPoint(config, kReps, pool8);
-    TcpSocket::SetBatchedAckMode(true);
-    if (!PointsIdentical(batched, ref1) || !PointsIdentical(batched, ref2) ||
-        !PointsIdentical(batched, ref8)) {
-      ok = false;
-    }
-  }
-  {
-    ThreadPool pool(3);
-    for (const int shards : {1, 2, 4, 8}) {
-      config.shards = shards;
-      config.shard_pool = shards > 1 ? &pool : nullptr;
-      TcpSocket::SetBatchedAckMode(true);
-      const IncastResult batched = RunIncast(config);
-      TcpSocket::SetBatchedAckMode(false);
-      const IncastResult reference = RunIncast(config);
-      TcpSocket::SetBatchedAckMode(true);
-      if (!ResultsIdentical(batched, reference) ||
-          batched.invariant_violations != 0) {
-        std::fprintf(stderr,
-                     "ack-mode gate [%s]: shards=%d batched != per-ACK\n",
-                     label, shards);
-        ok = false;
-      }
-    }
-  }
-  std::fprintf(stderr, "ack-mode gate [%s]: %s\n", label,
-               ok ? "batched bit-identical to per-ACK reference"
-                  : "DIVERGED");
-  return ok;
-}
-
 int Main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = nullptr;
@@ -351,20 +299,6 @@ int Main(int argc, char** argv) {
         shard_deterministic;
   }
 
-  // Batched-ACK equivalence on the same soak matrix: the deferred-emission
-  // datapath must reproduce the per-ACK oracle bit-for-bit under faults.
-  bool ack_mode_identical = AckModeGate(
-      SoakConfig(Protocol::kDctcp, 40, profiles.back(), rounds),
-      "hostile N=40");
-  if (!smoke) {
-    ack_mode_identical =
-        AckModeGate(SoakConfig(Protocol::kDctcpPlus, 200, profiles[2], rounds),
-                    "burst1 N=200") &&
-        AckModeGate(SoakConfig(Protocol::kDctcpPlus, 200, profiles[3], rounds),
-                    "reorder N=200") &&
-        ack_mode_identical;
-  }
-
   if (out_path != nullptr) {
     std::FILE* out = std::fopen(out_path, "w");
     if (!out) {
@@ -377,8 +311,6 @@ int Main(int argc, char** argv) {
                  deterministic ? "true" : "false");
     std::fprintf(out, "  \"determinism_shards_1_2_4_8\": %s,\n",
                  shard_deterministic ? "true" : "false");
-    std::fprintf(out, "  \"ack_mode_identical\": %s,\n",
-                 ack_mode_identical ? "true" : "false");
     std::fprintf(out, "  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SoakPoint& p = points[i];
@@ -421,11 +353,6 @@ int Main(int argc, char** argv) {
   if (!shard_deterministic) {
     std::fprintf(stderr,
                  "soak_impairment: shard-count determinism gate FAILED\n");
-    return 1;
-  }
-  if (!ack_mode_identical) {
-    std::fprintf(stderr,
-                 "soak_impairment: batched-ACK vs per-ACK gate FAILED\n");
     return 1;
   }
   return 0;

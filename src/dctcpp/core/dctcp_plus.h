@@ -45,7 +45,7 @@ class DctcpPlusCc : public DctcpCc {
 
   /// Pacing can only be engaged (or engage itself during a clean ACK's
   /// OnAck) outside kNormal: kNormal -> kTimeInc requires a congestion
-  /// signal, which a burst-eligible (no-ECE) ACK never carries.
+  /// signal, which a clean (no-ECE) ACK never carries.
   bool MayPace(const TcpSocket& sk) const override {
     (void)sk;
     return regulator_.state() != PlusState::kNormal;

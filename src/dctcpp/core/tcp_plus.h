@@ -36,7 +36,7 @@ class TcpPlusCc : public NewRenoCc {
   Tick PacingDelay(TcpSocket& sk, Rng& rng) override;
 
   /// Same argument as DctcpPlusCc::MayPace: kNormal cannot engage pacing
-  /// without a congestion signal, so clean ACKs are safe to batch.
+  /// without a congestion signal.
   bool MayPace(const TcpSocket& sk) const override {
     (void)sk;
     return regulator_.state() != PlusState::kNormal;

@@ -105,11 +105,6 @@ void Host::Deliver(const Packet& pkt) {
     handler(pkt);
     return;
   }
-  // A demux miss means the per-flow run (if any) just broke: packets a
-  // socket deferred during the run must reach the network before another
-  // flow — or a listener — can observe their absence. No-op when nothing
-  // is pending (the common case, and always outside a calendar drain).
-  sim_.FlushAckBursts();
   // Copy the handler before invoking: the callee may (un)register
   // handlers (FinalizeClose, accept). InlineHandler is a small trivially
   // copyable struct, so the copy is a couple of register moves.

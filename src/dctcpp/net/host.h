@@ -7,9 +7,8 @@
 //
 // Demux is the per-packet control-plane hot path: handlers are
 // trivially-copyable InlineHandler delegates stored in a flat
-// open-addressing FlowTable keyed by the packed 4-tuple (a std::map
-// oracle backend remains selectable via SetReferenceFlowTableForTest for
-// differential testing — see util/flow_table.h).
+// open-addressing FlatFlowTable keyed by the packed 4-tuple (see
+// util/flow_table.h).
 #pragma once
 
 #include <cstdint>
@@ -138,7 +137,7 @@ class Host : public PacketSink, public Checkpointable {
   NodeId id_;
   std::string name_;
   std::unique_ptr<EgressPort> uplink_;
-  FlowTable<PacketHandler> connections_;  // keyed by PackFlowKey(...)
+  FlatFlowTable<PacketHandler> connections_;  // keyed by PackFlowKey(...)
   // One-entry demux cache: arrivals come in per-flow runs (a window of
   // segments from one sender drains back-to-back), so the last key repeats
   // and a run costs one flow-table probe instead of one per packet. Holds
@@ -147,7 +146,7 @@ class Host : public PacketSink, public Checkpointable {
   std::uint64_t demux_cache_key_ = 0;
   PacketHandler demux_cache_handler_;
   bool demux_cache_valid_ = false;
-  FlowTable<PacketHandler> listeners_;    // keyed by local port
+  FlatFlowTable<PacketHandler> listeners_;  // keyed by local port
   // Per-port registration counts (connections + listeners), sized lazily.
   // Multiple connections share one local port on servers, hence counts.
   std::vector<std::uint32_t> port_refs_;

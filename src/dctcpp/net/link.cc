@@ -136,15 +136,9 @@ void EgressPort::EnqueueForTransmit(const Packet& pkt) {
 void EgressPort::StartTransmission() {
   if (queue_.Empty()) return;
   transmitting_ = true;
-  if (staged_) {
-    // One-copy path: the head queued packet becomes the serving packet in
-    // place; its ring slot — written once at Enqueue — IS the wire.
-    in_flight_bytes_ = queue_.BeginService().WireSize();
-  } else {
-    on_wire_ = queue_.Front();
-    queue_.PopFront();
-    in_flight_bytes_ = on_wire_.WireSize();
-  }
+  // One-copy path: the head queued packet becomes the serving packet in
+  // place; its ring slot — written once at Enqueue — IS the wire.
+  in_flight_bytes_ = queue_.BeginService().WireSize();
   const Tick tx = in_flight_bytes_ == tx_size_data_ ? tx_time_data_
                   : in_flight_bytes_ == tx_size_ack_
                       ? tx_time_ack_
@@ -154,15 +148,9 @@ void EgressPort::StartTransmission() {
 
 void EgressPort::BeginServiceAt(Tick start) {
   transmitting_ = true;
-  if (staged_) {
-    // One-copy path: the head queued packet becomes the serving packet in
-    // place; its ring slot — written once at Enqueue — IS the wire.
-    in_flight_bytes_ = queue_.BeginService().WireSize();
-  } else {
-    on_wire_ = queue_.Front();
-    queue_.PopFront();
-    in_flight_bytes_ = on_wire_.WireSize();
-  }
+  // One-copy path: the head queued packet becomes the serving packet in
+  // place; its ring slot — written once at Enqueue — IS the wire.
+  in_flight_bytes_ = queue_.BeginService().WireSize();
   const Tick tx = in_flight_bytes_ == tx_size_data_ ? tx_time_data_
                   : in_flight_bytes_ == tx_size_ack_
                       ? tx_time_ack_
@@ -182,11 +170,7 @@ void EgressPort::BeginServiceAt(Tick start) {
 
 void EgressPort::SettleSlow(Tick t) {
   while (transmitting_ && t_fin_ <= t) {
-    if (staged_) {
-      queue_.FinishServiceToWire();  // serving -> propagating, zero copy
-    } else {
-      propagating_.PushBack(on_wire_);
-    }
+    queue_.FinishServiceToWire();  // serving -> propagating, zero copy
     transmitting_ = false;
     in_flight_bytes_ = 0;
     if (!queue_.Empty()) BeginServiceAt(t_fin_);
@@ -207,15 +191,10 @@ void EgressPort::FinishTransmission() {
   const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
   ++handed_off_;
   // The cross-shard copy into the peer's calendar is unavoidable (the
-  // peer owns its arrival storage); in staged mode it is the packet's
-  // only post-enqueue copy, and the serving slot then retires.
-  if (staged_) {
-    psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_,
-                   queue_.Serving());
-    queue_.DropServing();
-  } else {
-    psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_, on_wire_);
-  }
+  // peer owns its arrival storage); it is the packet's only post-enqueue
+  // copy, and the serving slot then retires.
+  psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_, queue_.Serving());
+  queue_.DropServing();
   if ((++conservation_clock_ & (kConservationPeriod - 1)) == 0) {
     CheckConservation();
   }
@@ -230,15 +209,9 @@ void EgressPort::DeliverHead() {
   SettleTo(sim_.Now());
   // Delivering in place is safe: the callee can re-enter Send, but only on
   // *other* ports (a packet never routes back out the port it arrived on),
-  // so neither the staged ring nor `propagating_` can grow or reallocate
-  // under this reference.
-  if (staged_) {
-    peer_.Deliver(queue_.PropagatingFront());
-    queue_.PopPropagating();
-  } else {
-    peer_.Deliver(propagating_.Front());
-    propagating_.PopFront();
-  }
+  // so the staged ring cannot grow or reallocate under this reference.
+  peer_.Deliver(queue_.PropagatingFront());
+  queue_.PopPropagating();
   due_.PopFront();
   ++delivered_;
   if ((++conservation_clock_ & (kConservationPeriod - 1)) == 0) {
@@ -246,7 +219,7 @@ void EgressPort::DeliverHead() {
   }
   if (!due_.Empty()) {
     deliver_ev_.ArmAt(due_.Front());
-    if (staged_ && queue_.PropagatingCount() > 0) {
+    if (queue_.PropagatingCount() > 0) {
       // Two-stage software pipeline: the packet this event will deliver
       // next is known now — pull its cacheline (the whole Packet, by the
       // one-line static_assert) and the peer's demux probe chain for its
@@ -279,8 +252,7 @@ void EgressPort::CheckConservation() {
     }
     return;
   }
-  const std::size_t propagating =
-      staged_ ? queue_.PropagatingCount() : propagating_.Size();
+  const std::size_t propagating = queue_.PropagatingCount();
   const std::uint64_t resident =
       queue_.PacketCount() + (transmitting_ ? 1u : 0u) + propagating;
   if (queue_.stats().enqueued != delivered_ + resident) {
@@ -302,10 +274,8 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   for (std::uint64_t s : red_state) w.U64(s);
   w.Bool(transmitting_);
   if (transmitting_) {
-    // Staged mode: the serving packet is inside the queue blob already
-    // (region sizes lead it); only the copy-chain mode owns a separate
-    // on-wire slot. Same-binary blobs always restore in the same mode.
-    if (!staged_) SavePacket(w, on_wire_);
+    // The serving packet is inside the queue blob already (region sizes
+    // lead it).
     w.I64(in_flight_bytes_);
     if (psim_ != nullptr) {
       // Sharded: the eventful finish is pending — save its exact arming.
@@ -326,10 +296,6 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   w.U64(handed_off_);
   w.U64(delivered_);
   w.U64(conservation_clock_);
-  if (!staged_) {
-    w.U64(propagating_.Size());
-    propagating_.ForEach([&w](const Packet& pkt) { SavePacket(w, pkt); });
-  }
   due_.SaveState(w);
   w.Bool(deliver_armed_);
   if (deliver_armed_) {
@@ -349,7 +315,6 @@ void EgressPort::LoadState(CheckpointReader& r) {
   red_rng_.LoadState(red_state);
   transmitting_ = r.Bool();
   if (transmitting_) {
-    if (!staged_) on_wire_ = LoadPacket(r);
     in_flight_bytes_ = r.I64();
     if (psim_ != nullptr) {
       const Tick at = r.I64();
@@ -363,12 +328,6 @@ void EgressPort::LoadState(CheckpointReader& r) {
   handed_off_ = r.U64();
   delivered_ = r.U64();
   conservation_clock_ = r.U64();
-  if (!staged_) {
-    const std::uint64_t propagating = r.U64();
-    for (std::uint64_t i = 0; i < propagating; ++i) {
-      propagating_.PushBack(LoadPacket(r));
-    }
-  }
   due_.LoadState(r);
   deliver_armed_ = r.Bool();
   if (deliver_armed_) {

@@ -16,12 +16,10 @@
 
 #include "dctcpp/net/impairment.h"
 #include "dctcpp/net/packet.h"
-#include "dctcpp/net/packet_ring.h"
 #include "dctcpp/net/queue.h"
 #include "dctcpp/sim/pinned_event.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/assert.h"
-#include "dctcpp/util/reference_mode.h"
 #include "dctcpp/util/units.h"
 
 namespace dctcpp {
@@ -251,16 +249,13 @@ class EgressPort : public Checkpointable {
   Tick tx_time_ack_ = 0;
   Bytes tx_size_ack_ = 0;
   std::uint64_t conservation_clock_ = 0;
-  // One-copy egress (the production path, `staged_` true): the serializing
-  // packet and the packets in flight on the wire stay *inside the queue's
-  // ring* — BeginService/FinishServiceToWire/PopPropagating move region
-  // boundaries over slots written once at Enqueue. The scalar reference
-  // mode (SetScalarReferenceForTest) instead replays the original copy
-  // chain through `on_wire_` and `propagating_` below, so the regression
-  // harness can prove the staged pipeline is observationally identical.
-  // Either way propagation delay is constant per port, so deliveries leave
-  // the wire in FIFO order: one pinned delivery event tracks the head's
-  // due time (`due_`), re-arming itself as packets drain.
+  // One-copy egress: the serializing packet and the packets in flight on
+  // the wire stay *inside the queue's ring* — BeginService/
+  // FinishServiceToWire/PopPropagating move region boundaries over slots
+  // written once at Enqueue. Propagation delay is constant per port, so
+  // deliveries leave the wire in FIFO order: one pinned delivery event
+  // tracks the head's due time (`due_`), re-arming itself as packets
+  // drain.
   //
   // Unsharded runs never arm `finish_ev_`: serialization completions are
   // settled lazily by SettleTo at the port's observation points instead of
@@ -272,9 +267,6 @@ class EgressPort : public Checkpointable {
   // port's only armed wheel node however many packets it carries. Sharded
   // mode keeps the eventful finish: the calendar handoff must execute
   // inside the conservative-parallel window that contains it.
-  const bool staged_ = !ScalarReferenceEnabled();
-  Packet on_wire_;
-  PacketFifo propagating_;
   TickFifo due_;
   Tick t_fin_ = 0;
   PinnedEvent finish_ev_;

@@ -7,16 +7,9 @@
 // allocation in steady state, and PushBack returns a reference to the
 // stored slot so callers can finish building the packet (ECN marking) in
 // place instead of copying twice.
-//
-// PacketFifo wraps PacketRing with a process-wide "reference mode" that
-// swaps the storage for the std::deque this repo used before the ring.
-// The datapath regression harness and the determinism ctest run the same
-// simulation in both modes: identical results prove the ring is a pure
-// mechanism change, and the timing delta is the honest before/after.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "dctcpp/net/packet.h"
@@ -101,68 +94,6 @@ class PacketRing {
   std::size_t mask_ = 0;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-};
-
-/// Selects the storage backend of every PacketFifo constructed afterwards.
-/// Reference mode (std::deque) exists solely so benchmarks and determinism
-/// tests can replay the pre-ring datapath inside the same binary; toggle it
-/// only between simulation runs, never while one is in flight.
-void SetReferenceFifoForTest(bool enabled);
-bool ReferenceFifoEnabled();
-
-/// FIFO of packets backed by PacketRing (production) or std::deque
-/// (reference mode, decided at construction).
-class PacketFifo {
- public:
-  PacketFifo();
-
-  bool Empty() const { return reference_ ? deque_.empty() : ring_.Empty(); }
-  std::size_t Size() const {
-    return reference_ ? deque_.size() : ring_.Size();
-  }
-
-  Packet& PushBack(const Packet& pkt) {
-    if (reference_) {
-      deque_.push_back(pkt);
-      return deque_.back();
-    }
-    return ring_.PushBack(pkt);
-  }
-
-  const Packet& Front() const {
-    return reference_ ? deque_.front() : ring_.Front();
-  }
-
-  void PopFront() {
-    if (reference_) {
-      deque_.pop_front();
-    } else {
-      ring_.PopFront();
-    }
-  }
-
-  /// The i-th resident packet in FIFO order (0 = Front); see PacketRing::At.
-  Packet& At(std::size_t i) {
-    return reference_ ? deque_[i] : ring_.At(i);
-  }
-  const Packet& At(std::size_t i) const {
-    return reference_ ? deque_[i] : ring_.At(i);
-  }
-
-  /// Visits every resident packet in FIFO order (audit walks only).
-  template <typename F>
-  void ForEach(F&& fn) const {
-    if (reference_) {
-      for (const Packet& pkt : deque_) fn(pkt);
-    } else {
-      ring_.ForEach(fn);
-    }
-  }
-
- private:
-  bool reference_;
-  PacketRing ring_;
-  std::deque<Packet> deque_;
 };
 
 }  // namespace dctcpp

@@ -291,34 +291,18 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
       // next iteration, after the batch); handoffs they trigger go
       // through the wheel first, never straight back into the calendar.
       sim.SetNow(tc);
-      // The same-tick drain is the batched-ACK burst scope: consecutive
-      // deliveries into one sink are a run a socket may defer emissions
-      // across. A sink change breaks every run (the next sink's processing
-      // could enqueue behind the deferred packets), so flush there; the
-      // Host breaks runs on flow changes within one sink, and EndAckBurst
-      // flushes whatever the tick's last run left pending.
-      sim.BeginAckBurst();
-      PacketSink* run_sink = nullptr;
       do {
         const CalendarEntry e = sh.calendar.PopEarliest();
         // Burst pipeline: while arrival i runs its socket chain, warm
         // arrival i+1's demux probe chain (the sink reads the flow key out
         // of the peeked entry, which doubles as the packet prefetch).
-        // Skipped in scalar reference mode so the oracle replays the
-        // prefetch-free per-packet path.
-        if (!scalar_ref_ && !sh.calendar.Empty() &&
-            sh.calendar.NextTime() == tc) {
+        if (!sh.calendar.Empty() && sh.calendar.NextTime() == tc) {
           const CalendarEntry& nx = sh.calendar.PeekEarliest();
           nx.sink->PrefetchDeliver(nx.pkt);
-        }
-        if (e.sink != run_sink) {
-          sim.FlushAckBursts();
-          run_sink = e.sink;
         }
         e.sink->Deliver(e.pkt);
         ++sh.delivered;
       } while (!sh.calendar.Empty() && sh.calendar.NextTime() == tc);
-      sim.EndAckBurst();
     } else {
       // Wheel events up to the intra-shard lookahead horizon: an event at
       // u >= tw may deposit an arrival into this shard's own calendar due

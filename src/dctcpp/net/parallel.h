@@ -505,10 +505,6 @@ class ParallelSimulation {
 
   std::uint64_t seed_;
   Tick lookahead_ = kTickMax;
-  /// Scalar reference mode disables the drain loop's lookahead prefetch
-  /// (see util/reference_mode.h); captured at construction like every
-  /// other reference-mode flag.
-  const bool scalar_ref_ = ScalarReferenceEnabled();
   LookaheadMode mode_ = LookaheadMode::kChannelClock;
   SharedSequences sequences_;
   std::atomic<bool> stop_{false};

@@ -70,8 +70,8 @@ std::optional<Packet> DropTailEcnQueue::Dequeue() {
 }
 
 void DropTailEcnQueue::PopFront() {
-  // Reference (copy-chain) egress and standalone queues only: the staged
-  // pipeline never pops a queued packet, it re-labels it as serving.
+  // Standalone queues only: the staged pipeline never pops a queued
+  // packet, it re-labels it as serving.
   DCTCPP_DASSERT(n_propagating_ == 0 && !serving_);
   occupancy_ -= queue_.Front().WireSize();
   DCTCPP_ASSERT(occupancy_ >= 0);
@@ -109,8 +109,7 @@ void DropTailEcnQueue::PopPropagating() {
 void DropTailEcnQueue::SaveState(CheckpointWriter& w) const {
   // Region sizes first, then every resident packet in FIFO order — the
   // staged regions reconstruct from the sizes alone (their packets are
-  // the FIFO prefix). Legacy/standalone queues write 0/false here, so the
-  // blob layout is the same shape in both egress modes.
+  // the FIFO prefix). Standalone queues write 0/false here.
   w.U64(n_propagating_);
   w.Bool(serving_);
   w.U64(queue_.Size());

@@ -60,9 +60,8 @@ class DropTailEcnQueue {
   /// Standalone-queue API: not usable while service staging is active.
   std::optional<Packet> Dequeue();
 
-  /// Zero-copy drain used by the reference (copy-chain) transmitter: the
-  /// head queued packet in place, then an explicit pop.
-  /// Preconditions: !Empty().
+  /// Standalone-queue drain: the head queued packet in place, then an
+  /// explicit pop. Preconditions: !Empty().
   const Packet& Front() const { return queue_.At(QueuedBase()); }
   void PopFront();
 
@@ -81,10 +80,10 @@ class DropTailEcnQueue {
   // regions; a packet is copied exactly once (Enqueue's slot store) and
   // then *stays in place* while it serializes and propagates — the
   // transitions below only move region boundaries. Occupancy, drop-tail
-  // admission, and ECN marking all read the queued region alone, so the
-  // buffer model is bit-identical to the copy-chain path this replaces.
+  // admission, and ECN marking all read the queued region alone, so a
+  // serializing or propagating packet no longer occupies the buffer.
   // The EgressPort is the only caller; standalone queues (tests, RED
-  // harnesses) never stage and see the legacy behavior unchanged.
+  // harnesses) never stage and see a plain FIFO.
 
   /// Front queued packet -> serving: leaves the buffer accounting
   /// (occupancy excludes it, as a serializing packet lives in the port's
@@ -152,7 +151,7 @@ class DropTailEcnQueue {
   Bytes capacity_;
   Bytes ecn_threshold_;
   Bytes occupancy_ = 0;
-  PacketFifo queue_;
+  PacketRing queue_;
   std::size_t n_propagating_ = 0;  ///< staged region sizes; see BeginService
   bool serving_ = false;
   Stats stats_;

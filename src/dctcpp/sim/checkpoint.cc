@@ -66,10 +66,6 @@ Packet LoadPacket(CheckpointReader& r) {
 
 void Simulator::SaveCheckpoint(CheckpointWriter& w,
                                const CheckpointHooks* hooks) const {
-  // Barrier preconditions: nothing is mid-event.
-  DCTCPP_ASSERT(ack_burst_depth_ == 0);
-  DCTCPP_ASSERT(ack_burst_flush_.empty());
-
   w.Tag(kTagSim);
   w.I64(now_);
   w.Bool(stopped_);

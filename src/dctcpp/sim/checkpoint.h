@@ -3,10 +3,9 @@
 // A checkpoint is taken at a *barrier*: a point where no event is mid-run
 // — in practice right after Simulator::RunUntil / ParallelSimulation::
 // RunUntil returns. At a barrier the scheduler's same-tick run-buffer is
-// empty, no ACK-burst scope is open, and every in-flight packet sits in a
-// serializable container (a port queue, the wire, a reorder hold, or a
-// shard calendar), so the world's entire future is a pure function of the
-// serialized state.
+// empty and every in-flight packet sits in a serializable container (a
+// port queue, the wire, a reorder hold, or a shard calendar), so the
+// world's entire future is a pure function of the serialized state.
 //
 // Restore is a two-phase protocol over a FRESHLY BUILT world (same
 // topology, same construction order, not yet started):
@@ -48,7 +47,9 @@ struct Packet;
 class CheckpointWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
-  static constexpr std::uint32_t kVersion = 1;
+  /// Bumped whenever the blob layout changes; a restore aborts on any
+  /// other version.
+  static constexpr std::uint32_t kVersion = 2;
 
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }

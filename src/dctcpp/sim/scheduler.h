@@ -1,21 +1,15 @@
 // Discrete-event scheduler façade.
 //
-// Two interchangeable backends implement the same interface and the same
-// determinism contract (events pop in (time, insertion-sequence) order, so
-// same-tick events fire in the order they were scheduled):
-//
-//  - `TimerWheelScheduler` (timer_wheel.h): hierarchical timer wheel with a
-//    pooled, allocation-free event representation and O(1) generation-safe
-//    cancellation. This is the production engine.
-//  - `HeapScheduler` (heap_scheduler.h): the original binary-heap engine,
-//    kept as the differential-testing oracle and benchmark baseline.
-//
-// tests/scheduler_diff_test.cc replays identical event traces through both
-// and asserts identical execution order.
+// `TimerWheelScheduler` (timer_wheel.h) is the engine: a hierarchical
+// timer wheel with a pooled, allocation-free event representation and
+// O(1) generation-safe cancellation. Events pop in (time,
+// insertion-sequence) order, so same-tick events fire in the order they
+// were scheduled. tests/scheduler_diff_test.cc replays identical event
+// traces through it and the binary-heap reference scheduler in
+// tests/reference/ and asserts identical execution order.
 #pragma once
 
 #include "dctcpp/sim/event_id.h"
-#include "dctcpp/sim/heap_scheduler.h"
 #include "dctcpp/sim/timer_wheel.h"
 
 namespace dctcpp {

@@ -138,43 +138,6 @@ class Simulator {
   void CountForwardedPacket() { ++packets_forwarded_; }
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
 
-  // --- ACK-burst scope (driven by the sharded calendar drain) -----------
-  //
-  // While a burst scope is open, transport endpoints may defer the
-  // *emission* of response packets they have already fully accounted for
-  // (all socket/cc bookkeeping runs eagerly), registering a flush callback
-  // here. The drain loop opens the scope around a same-tick calendar run
-  // and flushes at every run break (sink change, flow change, scope
-  // close), so deferred packets always reach the network before any
-  // foreign event can observe their absence. Outside a scope nothing ever
-  // defers, and `FlushAckBursts` is an empty-vector check.
-
-  using BurstFlushFn = void (*)(void*);
-
-  bool InAckBurst() const { return ack_burst_depth_ > 0; }
-  void BeginAckBurst() { ++ack_burst_depth_; }
-  void EndAckBurst() {
-    DCTCPP_ASSERT(ack_burst_depth_ > 0);
-    if (--ack_burst_depth_ == 0) FlushAckBursts();
-  }
-
-  /// Registers `fn(ctx)` to run at the next flush. Callers register at
-  /// most once per pending batch (they track their own pending flag).
-  void RequestAckBurstFlush(BurstFlushFn fn, void* ctx) {
-    DCTCPP_DASSERT(InAckBurst());
-    ack_burst_flush_.push_back({fn, ctx});
-  }
-
-  /// Runs every registered flush callback in registration order. Safe (and
-  /// cheap) to call when nothing is pending.
-  void FlushAckBursts() {
-    if (ack_burst_flush_.empty()) return;
-    // Callbacks emit packets; emission never re-registers (the emitting
-    // socket's batch is the one being flushed), so plain iteration is safe.
-    for (const PendingBurstFlush& p : ack_burst_flush_) p.fn(p.ctx);
-    ack_burst_flush_.clear();
-  }
-
   // --- shard hooks (driven by net/parallel.h) ---------------------------
 
   /// Marks this Simulator as shard `shard_id` of `parallel`: construction
@@ -243,15 +206,8 @@ class Simulator {
   }
 
  private:
-  struct PendingBurstFlush {
-    BurstFlushFn fn;
-    void* ctx;
-  };
-
   Tick now_ = 0;
   bool stopped_ = false;
-  int ack_burst_depth_ = 0;
-  std::vector<PendingBurstFlush> ack_burst_flush_;
   std::uint64_t seed_ = 1;
   std::uint64_t packets_forwarded_ = 0;
   SharedSequences own_sequences_;

@@ -76,12 +76,6 @@ class Timer {
 
   bool IsPending() const { return armed_; }
 
-  /// Whether a wheel arming exists right now — i.e. whether the next
-  /// Schedule() can possibly consume a scheduler sequence number. Lets the
-  /// batched-ACK path prove its wheel interactions identical to per-ACK
-  /// processing (see TcpSocket::ArmRtoTimer).
-  bool HasWheelArming() const { return event_pending_; }
-
   /// Absolute expiry of the current arming (meaningful while pending).
   Tick expires_at() const { return expires_at_; }
 

@@ -588,7 +588,7 @@ std::uint64_t TimerWheelScheduler::RunLoop(Tick deadline, const bool* stop,
     EnsureNext();
     if (cached_at_ > deadline) break;
     *sim_now = cached_at_;
-    if (!cached_from_heap_ && !scalar_ref_) {
+    if (!cached_from_heap_) {
       const Node& n = NodeAt(cached_idx_);
       if (n.level == 0 && n.next != kNil &&
           (heap_.empty() || heap_.front().at > cached_at_)) {

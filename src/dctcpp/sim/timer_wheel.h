@@ -16,11 +16,11 @@
 // (fired or cancelled) can never cancel a later event that reuses the same
 // pool slot.
 //
-// Determinism contract (identical to HeapScheduler, proven by the
-// differential test in tests/scheduler_diff_test.cc): events pop in
-// (time, insertion sequence) order — same-tick events fire in the order
-// they were scheduled, globally, regardless of which wheel level they
-// transited. Slot lists are kept sorted by sequence number to preserve
+// Determinism contract (identical to the binary-heap reference scheduler
+// in tests/reference/, proven by tests/scheduler_diff_test.cc): events
+// pop in (time, insertion sequence) order — same-tick events fire in the
+// order they were scheduled, globally, regardless of which wheel level
+// they transited. Slot lists are kept sorted by sequence number to preserve
 // this across cascades.
 //
 // Invariants (now_ == timestamp of the last popped event):
@@ -44,7 +44,6 @@
 #include "dctcpp/sim/event_id.h"
 #include "dctcpp/sim/inline_action.h"
 #include "dctcpp/util/assert.h"
-#include "dctcpp/util/reference_mode.h"
 #include "dctcpp/util/time.h"
 
 namespace dctcpp {
@@ -299,12 +298,6 @@ class TimerWheelScheduler {
 
   std::vector<HeapEntry> heap_;   // overflow level, lazy-cancelled
   std::vector<BatchEntry> batch_; // same-tick run-buffer (RunSlotBatch)
-
-  // Per-packet reference mode (SetScalarReferenceForTest): RunLoop skips
-  // the same-tick batch drain and pops one event at a time, so the
-  // regression harness can prove the batched+prefetched pipeline is
-  // observationally identical to the scalar pop order.
-  const bool scalar_ref_ = ScalarReferenceEnabled();
 
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::uint32_t alloc_count_ = 0;

@@ -77,11 +77,8 @@ class CongestionOps {
   }
 
   /// Whether PacingDelay may currently return nonzero (or draw from the
-  /// RNG) for this socket. The batched-ACK fast path only defers packet
-  /// emission while pacing is provably disengaged, because arming a pace
-  /// timer consumes a scheduler sequence number whose order relative to
-  /// the port's transmit event must match per-ACK processing exactly.
-  /// Conservative overrides are fine; `true` merely disables batching.
+  /// RNG) for this socket. Conservative overrides are fine. A query for
+  /// introspection and decorating wrappers; the socket itself never asks.
   virtual bool MayPace(const TcpSocket& sk) const {
     (void)sk;
     return false;

@@ -2,9 +2,7 @@
 
 namespace dctcpp {
 
-// The production instantiation, plus the map-backed oracle the scoreboard
-// differential test replays against.
+// The production instantiation.
 template class BasicReceiveBuffer<IntervalSet>;
-template class BasicReceiveBuffer<MapIntervalSet>;
 
 }  // namespace dctcpp

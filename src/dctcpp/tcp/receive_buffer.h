@@ -9,9 +9,9 @@
 //
 // The out-of-order scoreboard is pluggable: production uses the flat
 // sorted-vector IntervalSet (no allocation per out-of-order segment); the
-// differential test instantiates the same logic over MapIntervalSet — the
-// original std::map representation — and asserts identical ACK/SACK
-// output on randomized arrival patterns.
+// differential test instantiates the same logic over the std::map
+// interval set in tests/reference/ and asserts identical ACK/SACK output
+// on randomized arrival patterns.
 #pragma once
 
 #include <algorithm>
@@ -164,6 +164,5 @@ BasicReceiveBuffer<IntervalSetT>::SackRanges(std::size_t max_blocks) const {
 using ReceiveBuffer = BasicReceiveBuffer<IntervalSet>;
 
 extern template class BasicReceiveBuffer<IntervalSet>;
-extern template class BasicReceiveBuffer<MapIntervalSet>;
 
 }  // namespace dctcpp

@@ -10,18 +10,6 @@
 
 namespace dctcpp {
 
-namespace {
-/// Process-wide default for TcpSocket::SetBatchedAckMode, captured by each
-/// socket at construction (same pattern as SetReferenceFlowTableForTest).
-bool g_batched_ack_mode = true;
-}  // namespace
-
-void TcpSocket::SetBatchedAckMode(bool batched) {
-  g_batched_ack_mode = batched;
-}
-
-bool TcpSocket::BatchedAckMode() { return g_batched_ack_mode; }
-
 // Hot/cold layout contract: the state the per-ACK chain touches on every
 // ACK must sit in the object's first four cache lines. offsetof on a
 // non-standard-layout class is conditionally supported; GCC and Clang both
@@ -69,7 +57,6 @@ TcpSocket::TcpSocket(Host& host, std::unique_ptr<CongestionOps> cc,
   // by every ACK actually sent — per-packet churn that lazy cancellation
   // turns into one wheel op per expiry window (see Timer::SetLazyCancel).
   delack_timer_.SetLazyCancel(true);
-  batched_ack_ = g_batched_ack_mode;
   cwnd_ = config_.initial_cwnd > 0 ? config_.initial_cwnd
                                    : cc_->InitialCwnd();
 }
@@ -191,25 +178,6 @@ void TcpSocket::OnPacket(const Packet& pkt) {
       break;
   }
 
-  // Batched fast path: inside a calendar-drain burst, a clean
-  // window-advancing ACK runs its full processing chain eagerly but defers
-  // segment emission and the invariant sweep to the end of the run (see
-  // AckBurstEligible / FlushAckBurst). Any ineligible packet first flushes
-  // a pending batch so the network observes emissions in per-ACK order.
-  const bool burst_eligible = AckBurstEligible(pkt);
-  if (burst_pending_ && !burst_eligible) sim().FlushAckBursts();
-  if (burst_eligible) {
-    if (!burst_pending_) {
-      burst_pending_ = true;
-      sim().RequestAckBurstFlush(&TcpSocket::FlushAckBurstThunk, this);
-    }
-    ++stats_.acks_batch_deferred;
-    defer_tx_ = true;
-    ProcessAck(pkt);
-    defer_tx_ = false;
-    return;  // pure ACK: no payload processing; invariants run at flush
-  }
-
   if (pkt.tcp.syn) {
     // Retransmitted SYN-ACK: our handshake ACK was lost; repeat it.
     SendAckNow(ReceiverEce());
@@ -219,46 +187,6 @@ void TcpSocket::OnPacket(const Packet& pkt) {
   if (pkt.tcp.ack_flag) ProcessAck(pkt);
   if (state_ == State::kClosed) return;  // ACK processing may finalize
   if (pkt.payload > 0 || pkt.tcp.fin) ProcessPayload(pkt);
-  CheckInvariants();
-}
-
-bool TcpSocket::AckBurstEligible(const Packet& pkt) const {
-  if (!batched_ack_ || !sim().InAckBurst()) return false;
-  if (state_ != State::kEstablished) return false;
-  // Pure cumulative ACK only: payload and FIN take the payload path, SYN
-  // the handshake path, and an ECE echo may reduce the window or engage
-  // the DCTCP+ regulator (whose pace-timer arming must stay in per-ACK
-  // order relative to the port's transmit event).
-  if (!pkt.tcp.ack_flag || pkt.payload != 0 || pkt.tcp.syn || pkt.tcp.fin) {
-    return false;
-  }
-  if (pkt.tcp.ece || in_recovery_ || fin_pending_ || fin_sent_) return false;
-  if (cc_->MayPace(*this)) return false;
-  // Strict forward progress within the sent range: duplicate and stale
-  // ACKs keep the reference path (fast-retransmit emission ordering).
-  const std::int64_t linear_ack =
-      stream_acked_ +
-      SeqNum(pkt.tcp.ack).DistanceFrom(SeqOfStream(stream_acked_));
-  return linear_ack > stream_acked_ && linear_ack <= stream_max_sent_;
-}
-
-void TcpSocket::EmitPacket(Packet& pkt) {
-  if (defer_tx_) {
-    burst_tx_.push_back(pkt);
-    return;
-  }
-  host_.Send(pkt);
-}
-
-void TcpSocket::FlushBurstTx() {
-  for (Packet& p : burst_tx_) host_.Send(p);
-  burst_tx_.clear();
-}
-
-void TcpSocket::FlushAckBurst() {
-  DCTCPP_DASSERT(burst_pending_);
-  burst_pending_ = false;
-  FlushBurstTx();
   CheckInvariants();
 }
 
@@ -554,7 +482,7 @@ void TcpSocket::SendAckNow(bool ece) {
     }
   }
   ++stats_.acks_sent;
-  EmitPacket(pkt);
+  host_.Send(pkt);
 }
 
 // ---------------------------------------------------------------------------
@@ -593,7 +521,7 @@ void TcpSocket::SendControl(bool syn, bool fin, bool ack) {
   }
   pkt.payload = 0;
   pkt.ecn = Ecn::kNotEct;
-  EmitPacket(pkt);
+  host_.Send(pkt);
 }
 
 void TcpSocket::TrySend() {
@@ -692,7 +620,7 @@ bool TcpSocket::SendDataSegment(std::int64_t offset, Bytes len,
   ++stats_.segments_sent;
   if (probe_ != nullptr) probe_->OnSegmentSent(*this, pkt, retransmit);
 
-  EmitPacket(pkt);
+  host_.Send(pkt);
   if (!rto_timer_.IsPending()) ArmRtoTimer();
   return true;
 }
@@ -779,12 +707,6 @@ void TcpSocket::OnRetransmissionTimeout() {
 }
 
 void TcpSocket::ArmRtoTimer() {
-  // Batched mode: a genuine (sequence-number-consuming) wheel arming must
-  // not overtake deferred emissions — per-ACK processing would have armed
-  // the port's transmit event first. Emitting the buffer here restores the
-  // exact arming order; while data is in flight the RTO timer always has a
-  // wheel arming (lazy re-arm), so this fires only after an eager cancel.
-  if (!burst_tx_.empty() && !rto_timer_.HasWheelArming()) FlushBurstTx();
   rto_timer_.Schedule(rto_.Rto());
   dupacks_since_arm_ = 0;
   progress_since_arm_ = 0;
@@ -793,9 +715,6 @@ void TcpSocket::ArmRtoTimer() {
 void TcpSocket::MaybeCancelRtoTimer() { rto_timer_.Cancel(); }
 
 void TcpSocket::FinalizeClose() {
-  // Close-progress packets (FIN, its ACK) are never burst-eligible, so the
-  // processing that got here flushed any pending batch on entry.
-  DCTCPP_DASSERT(!burst_pending_ && burst_tx_.empty());
   state_ = State::kClosed;
   rto_timer_.Cancel();
   delack_timer_.Cancel();
@@ -811,9 +730,6 @@ void TcpSocket::FinalizeClose() {
 // Checkpoint
 
 void TcpSocket::SaveState(CheckpointWriter& w) const {
-  // Barrier precondition: no batched-ACK run may be open across a save.
-  DCTCPP_ASSERT(!defer_tx_ && !burst_pending_ && burst_tx_.empty());
-
   w.U8(static_cast<std::uint8_t>(state_));
   w.Bool(registered_);
   w.Bool(syn_acked_);
@@ -830,7 +746,6 @@ void TcpSocket::SaveState(CheckpointWriter& w) const {
   w.Bool(rx_ce_state_);
   w.Bool(rx_ece_latched_);
   w.Bool(pace_armed_);
-  w.Bool(batched_ack_);
 
   w.U32(static_cast<std::uint32_t>(remote_));
   w.U32(local_port_);
@@ -859,7 +774,6 @@ void TcpSocket::SaveState(CheckpointWriter& w) const {
   w.U64(stats_.acks_received);
   w.U64(stats_.ece_acks_received);
   w.U64(stats_.acks_sent);
-  w.U64(stats_.acks_batch_deferred);
 
   w.U32(iss_.raw());
   std::uint64_t rng_state[4];
@@ -886,7 +800,6 @@ void TcpSocket::SaveState(CheckpointWriter& w) const {
 
 void TcpSocket::LoadState(CheckpointReader& r) {
   DCTCPP_ASSERT(state_ == State::kClosed && !registered_);
-  DCTCPP_ASSERT(!defer_tx_ && !burst_pending_ && burst_tx_.empty());
 
   state_ = static_cast<State>(r.U8());
   registered_ = r.Bool();
@@ -904,10 +817,6 @@ void TcpSocket::LoadState(CheckpointReader& r) {
   rx_ce_state_ = r.Bool();
   rx_ece_latched_ = r.Bool();
   pace_armed_ = r.Bool();
-  // Processing mode is a construction-time property of the restoring run;
-  // it must match the saved run for bit-identical resumption.
-  const bool saved_batched = r.Bool();
-  DCTCPP_ASSERT(saved_batched == batched_ack_);
 
   remote_ = static_cast<NodeId>(r.U32());
   local_port_ = r.U32();
@@ -936,7 +845,6 @@ void TcpSocket::LoadState(CheckpointReader& r) {
   stats_.acks_received = r.U64();
   stats_.ece_acks_received = r.U64();
   stats_.acks_sent = r.U64();
-  stats_.acks_batch_deferred = r.U64();
 
   iss_ = SeqNum(r.U32());
   std::uint64_t rng_state[4];

@@ -116,25 +116,6 @@ class TcpSocket {
   /// Attaches a trace probe (not owned); nullptr detaches.
   void set_probe(TcpProbe* probe) { probe_ = probe; }
 
-  // --- batched ACK processing ------------------------------------------
-  //
-  // Inside a sharded calendar drain, consecutive same-tick deliveries to
-  // one socket form a run. The batched mode processes each ACK's full
-  // chain (rtt sample -> RTO re-arm -> cwnd/alpha update -> send-window
-  // refill) eagerly — every byte of socket and congestion state evolves
-  // exactly as in per-ACK mode — but defers the *emission* of response
-  // segments and the per-packet invariant sweep to the end of the run.
-  // Emission order, packet uids, queue occupancy at each enqueue, and
-  // scheduler sequence numbers are all preserved (see socket.cc for the
-  // argument), so the two modes are bit-identical; the per-ACK path
-  // remains selectable as the differential oracle.
-
-  /// Selects the processing mode for sockets constructed afterwards
-  /// (process-wide, mirroring SetReferenceFlowTableForTest). Batched is
-  /// the default; `false` restores the per-ACK reference path.
-  static void SetBatchedAckMode(bool batched);
-  static bool BatchedAckMode();
-
   // --- introspection (CongestionOps, probes, tests) ---------------------
 
   State state() const { return state_; }
@@ -188,9 +169,6 @@ class TcpSocket {
     std::uint64_t acks_received = 0;
     std::uint64_t ece_acks_received = 0;
     std::uint64_t acks_sent = 0;
-    /// ACKs whose emission was deferred by the batched fast path (0 in
-    /// per-ACK mode; lets tests assert batching actually engaged).
-    std::uint64_t acks_batch_deferred = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -203,8 +181,7 @@ class TcpSocket {
   // config) and re-attaches its callbacks, then LoadState overwrites the
   // fresh state and — when the saved socket was registered — re-registers
   // the connection with the host so demux tables and port refcounts are
-  // rebuilt. Only valid at a RunUntil barrier: no batched-ACK run may be
-  // open (defer_tx_ / burst_pending_ false, burst_tx_ empty).
+  // rebuilt. Only valid at a RunUntil barrier.
   void SaveState(CheckpointWriter& w) const;
   void LoadState(CheckpointReader& r);
 
@@ -228,22 +205,6 @@ class TcpSocket {
   bool SendDataSegment(std::int64_t offset, Bytes len, bool retransmit);
   void SendControl(bool syn, bool fin, bool ack);
   Packet MakePacket() const;
-
-  // --- batched ACK processing (see the public section) ------------------
-  /// Whether `pkt` may be processed with emission deferred: a clean
-  /// cumulative ACK making strict progress on an established, non-paced,
-  /// non-recovering connection inside an open burst scope.
-  bool AckBurstEligible(const Packet& pkt) const;
-  /// All socket egress funnels through here; while `defer_tx_` is set the
-  /// fully built packet is buffered instead of handed to the host.
-  void EmitPacket(Packet& pkt);
-  /// Emits the deferred packets (in order) without closing the batch.
-  void FlushBurstTx();
-  /// End-of-run flush: emit, then run the deferred invariant sweep.
-  void FlushAckBurst();
-  static void FlushAckBurstThunk(void* self) {
-    static_cast<TcpSocket*>(self)->FlushAckBurst();
-  }
 
   // --- SACK scoreboard (sender side, linear stream offsets) -------------
   void ProcessSackBlocks(const Packet& pkt);
@@ -311,9 +272,6 @@ class TcpSocket {
   bool rx_ce_state_ = false;    ///< DCTCP receiver CE state machine
   bool rx_ece_latched_ = false; ///< classic ECN receiver latch
   bool pace_armed_ = false;  ///< a reserved pacing slot awaits its send
-  bool batched_ack_ = false;   ///< processing mode, captured at construction
-  bool defer_tx_ = false;      ///< EmitPacket buffers instead of sending
-  bool burst_pending_ = false; ///< a burst-flush callback is registered
 
   NodeId remote_ = kInvalidNode;
   PortNum local_port_ = 0;
@@ -372,9 +330,6 @@ class TcpSocket {
   // Pacing (DCTCP+).
   Tick pace_until_ = 0;
   Timer pace_timer_;
-
-  /// Deferred emissions of the current batched-ACK run, in send order.
-  std::vector<Packet> burst_tx_;
 };
 
 /// Passive endpoint: accepts connections on a port, creating one TcpSocket

@@ -1,6 +1,4 @@
-// Flat flow table for per-packet demux, with a std::map differential
-// oracle, following the repo's oracle-backed-rewrite pattern
-// (IntervalSet/MapIntervalSet, PacketRing/reference deque).
+// Flat flow table for per-packet demux.
 //
 // A host demultiplexes every delivered packet by its connection 4-tuple.
 // The local address is implicit (the table lives in the host), so the key
@@ -16,17 +14,11 @@
 // table rehashes at ~0.7 load counting tombstones, so probe chains stay
 // short even under the register/unregister churn of repeated incast
 // rounds. Values must be trivially copyable (handlers are InlineHandler
-// delegates) so slots relocate with plain assignment.
-//
-// MapFlowTable is the std::map<uint64, V> reference with the identical
-// API. FlowTable picks its backend at construction from a process-wide
-// flag (SetReferenceFlowTableForTest), so benches and differential tests
-// can run the same simulation on both representations and require
-// bit-identical output.
+// delegates) so slots relocate with plain assignment. Its std::map
+// differential partner lives in tests/reference/map_flow_table.h.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <type_traits>
 #include <vector>
 
@@ -158,81 +150,6 @@ class FlatFlowTable {
   int shift_ = 64;          // 64 - log2(capacity)
   std::size_t size_ = 0;    // live entries
   std::size_t used_ = 0;    // live entries + tombstones
-};
-
-/// Reference implementation: std::map keyed by the packed tuple. Same API
-/// and observable behavior as FlatFlowTable; used as the differential
-/// oracle in tests and the datapath determinism gate.
-template <typename V>
-class MapFlowTable {
- public:
-  void Insert(std::uint64_t key, const V& value) {
-    const auto [it, inserted] = map_.emplace(key, value);
-    DCTCPP_ASSERT(inserted);
-    (void)it;
-  }
-
-  bool Erase(std::uint64_t key) { return map_.erase(key) > 0; }
-
-  const V* Find(std::uint64_t key) const {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  bool Contains(std::uint64_t key) const { return map_.count(key) > 0; }
-
-  std::size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-
- private:
-  std::map<std::uint64_t, V> map_;
-};
-
-/// Selects the reference std::map backend for FlowTables constructed while
-/// the flag is set. Process-wide; flip it before building the simulation.
-void SetReferenceFlowTableForTest(bool enabled);
-bool ReferenceFlowTableEnabled();
-
-/// Runtime-switchable flow table: production FlatFlowTable by default, the
-/// MapFlowTable oracle when reference mode was on at construction.
-template <typename V>
-class FlowTable {
- public:
-  FlowTable() : reference_(ReferenceFlowTableEnabled()) {}
-
-  void Insert(std::uint64_t key, const V& value) {
-    if (reference_) {
-      map_.Insert(key, value);
-    } else {
-      flat_.Insert(key, value);
-    }
-  }
-
-  bool Erase(std::uint64_t key) {
-    return reference_ ? map_.Erase(key) : flat_.Erase(key);
-  }
-
-  const V* Find(std::uint64_t key) const {
-    return reference_ ? map_.Find(key) : flat_.Find(key);
-  }
-
-  /// Cache hint for an upcoming Find; no-op on the map oracle.
-  void Prefetch(std::uint64_t key) const {
-    if (!reference_) flat_.Prefetch(key);
-  }
-
-  bool Contains(std::uint64_t key) const {
-    return reference_ ? map_.Contains(key) : flat_.Contains(key);
-  }
-
-  std::size_t size() const { return reference_ ? map_.size() : flat_.size(); }
-  bool empty() const { return size() == 0; }
-  bool is_reference() const { return reference_; }
-
- private:
-  bool reference_;
-  FlatFlowTable<V> flat_;
-  MapFlowTable<V> map_;
 };
 
 }  // namespace dctcpp

@@ -2,17 +2,15 @@
 // representation of the receiver's out-of-order reassembly scoreboard and
 // the sender's SACK scoreboard.
 //
-// Two implementations with the same API:
+// IntervalSet is a sorted flat vector of [start, end) ranges. Lookups are
+// a binary search over contiguous memory and mutation is a memmove; with
+// the handful of live ranges a TCP scoreboard holds this beats the
+// node-per-range std::map it replaced (one allocation + pointer chase per
+// out-of-order segment) by a wide margin. The std::map formulation
+// survives as its differential partner in
+// tests/reference/map_interval_set.h.
 //
-//  - IntervalSet: a sorted flat vector of [start, end) ranges. Lookups are
-//    a binary search over contiguous memory and mutation is a memmove;
-//    with the handful of live ranges a TCP scoreboard holds this beats the
-//    node-per-range std::map it replaced (one allocation + pointer chase
-//    per out-of-order segment) by a wide margin.
-//  - MapIntervalSet: the original std::map<start, end> formulation, kept as
-//    the reference oracle for the differential tests.
-//
-// Both coalesce overlapping *and* abutting ranges, so a set never holds
+// Overlapping *and* abutting ranges coalesce, so a set never holds
 // [a, b) and [b, c) separately. All operations keep the ranges disjoint,
 // non-empty, and sorted by start.
 #pragma once
@@ -20,7 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <iterator>
 #include <vector>
 
 #include "dctcpp/util/assert.h"
@@ -133,86 +131,6 @@ class IntervalSet {
 
  private:
   std::vector<Interval> v_;
-};
-
-/// Reference implementation over std::map<start, end> — the scoreboard
-/// representation this repo used before the flat vector. API-identical to
-/// IntervalSet; the differential tests replay random workloads through
-/// both and assert equal observable state.
-class MapIntervalSet {
- public:
-  bool empty() const { return m_.empty(); }
-  std::size_t size() const { return m_.size(); }
-  void clear() { m_.clear(); }
-
-  Interval front() const {
-    DCTCPP_DASSERT(!m_.empty());
-    return Interval{m_.begin()->first, m_.begin()->second};
-  }
-
-  void PopFront() {
-    DCTCPP_DASSERT(!m_.empty());
-    m_.erase(m_.begin());
-  }
-
-  void Add(std::int64_t start, std::int64_t end) {
-    if (end <= start) return;
-    auto it = m_.upper_bound(start);
-    if (it != m_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= start) {
-        start = prev->first;
-        it = prev;
-      }
-    }
-    std::int64_t merged_end = end;
-    while (it != m_.end() && it->first <= merged_end) {
-      merged_end = std::max(merged_end, it->second);
-      it = m_.erase(it);
-    }
-    m_[start] = merged_end;
-  }
-
-  void TrimBelow(std::int64_t offset) {
-    while (!m_.empty() && m_.begin()->second <= offset) {
-      m_.erase(m_.begin());
-    }
-    if (!m_.empty() && m_.begin()->first < offset) {
-      auto node = m_.extract(m_.begin());
-      const std::int64_t end = node.mapped();
-      m_[offset] = end;
-    }
-  }
-
-  bool Contains(std::int64_t x) const { return CoveringEnd(x) >= 0; }
-
-  std::int64_t CoveringEnd(std::int64_t x) const {
-    auto it = m_.upper_bound(x);
-    if (it == m_.begin()) return -1;
-    --it;
-    return it->second > x ? it->second : -1;
-  }
-
-  std::int64_t NextStartAfter(std::int64_t x) const {
-    auto it = m_.upper_bound(x);
-    return it == m_.end() ? -1 : it->first;
-  }
-
-  std::int64_t TotalBytes() const {
-    std::int64_t total = 0;
-    for (const auto& [start, end] : m_) total += end - start;
-    return total;
-  }
-
-  template <typename F>
-  void ForEach(F&& fn) const {
-    for (const auto& [start, end] : m_) {
-      if (!fn(Interval{start, end})) return;
-    }
-  }
-
- private:
-  std::map<std::int64_t, std::int64_t> m_;
 };
 
 }  // namespace dctcpp

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dctcpp/util/assert.h"
+#include "dctcpp/util/fnv.h"
 
 namespace dctcpp {
 
@@ -12,9 +13,6 @@ namespace {
 // Section tags (see sim/checkpoint.h for the convention).
 constexpr std::uint32_t kTagChurnWorld = 0x4348524e;  // "CHRN" world header
 constexpr std::uint32_t kTagChurnShard = 0x43485348;  // "CHSH" per-shard hook
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 Tick ExpTicks(Rng& rng, double mean) {
   return std::max<Tick>(
@@ -278,6 +276,21 @@ ChurnStats ChurnWorkload::Stats() const {
   return s;
 }
 
+std::uint64_t Fingerprint(const ChurnStats& s) {
+  std::uint64_t h = kFnvOffset;
+  h = FnvWord(h, s.flows_started);
+  h = FnvWord(h, s.flows_completed);
+  h = FnvWord(h, s.arrivals_dropped);
+  h = FnvWord(h, s.accepts_dropped);
+  h = FnvWord(h, static_cast<std::uint64_t>(s.live_flows));
+  h = FnvWord(h, static_cast<std::uint64_t>(s.peak_live));
+  h = FnvWord(h, static_cast<std::uint64_t>(s.bytes_received));
+  h = FnvWord(h, s.violations);
+  h = FnvWord(h, s.events_executed);
+  h = FnvWord(h, s.packets_forwarded);
+  return h;
+}
+
 ChurnFootprint ChurnWorkload::MeasureFootprint() {
   ChurnFootprint f;
   for (const auto& hc : hosts_) {
@@ -342,12 +355,7 @@ void ChurnWorkload::RestoreCheckpoint(
 
 std::uint64_t ChurnWorkload::Fingerprint() const {
   const std::vector<std::uint8_t> blob = SaveCheckpoint();
-  std::uint64_t h = kFnvOffset;
-  for (std::uint8_t b : blob) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
+  return FnvBytes(kFnvOffset, blob.data(), blob.size());
 }
 
 void ChurnWorkload::SaveWorkload(CheckpointWriter& w, int shard) const {

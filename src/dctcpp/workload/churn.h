@@ -107,6 +107,11 @@ struct ChurnStats {
   std::uint64_t packets_forwarded = 0;
 };
 
+/// FNV-1a (util/fnv.h) over every ChurnStats field in declaration order.
+/// Unlike ChurnWorkload::Fingerprint it never reads a checkpoint blob, so
+/// it stays comparable across checkpoint format versions.
+std::uint64_t Fingerprint(const ChurnStats& s);
+
 /// Pool + engine memory attributable to sustaining the flow population.
 struct ChurnFootprint {
   std::size_t pool_bytes = 0;       ///< slot pools + free/retired lists

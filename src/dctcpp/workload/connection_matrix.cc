@@ -6,6 +6,7 @@
 
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/util/assert.h"
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/log.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/workload/apps.h"
@@ -320,6 +321,23 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
                 psim.first_violation().c_str());
   }
   return result;
+}
+
+std::uint64_t Fingerprint(const FabricRunResult& r) {
+  std::uint64_t h = kFnvOffset;
+  h = FnvWord(h, static_cast<std::uint64_t>(r.flows_completed));
+  h = FnvWord(h, static_cast<std::uint64_t>(r.bytes_delivered));
+  h = FnvWord(h, r.fct_ms.count());
+  for (double s : r.fct_ms.samples()) h = FnvDouble(h, s);
+  h = FnvDouble(h, r.goodput_mbps);
+  h = FnvDouble(h, r.sim_seconds);
+  h = FnvWord(h, r.events);
+  h = FnvWord(h, r.packets_forwarded);
+  h = FnvWord(h, r.invariant_violations);
+  h = FnvWord(h, r.packets_originated);
+  h = FnvWord(h, r.packets_dropped);
+  h = FnvWord(h, r.checksum_discards);
+  return h;
 }
 
 }  // namespace dctcpp

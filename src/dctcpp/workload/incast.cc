@@ -6,6 +6,7 @@
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/tcp/probe.h"
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/log.h"
 #include "dctcpp/workload/apps.h"
 
@@ -474,6 +475,40 @@ IncastResult RunIncast(const IncastConfig& config) {
                 sim.invariants().first_violation().c_str());
   }
   return result;
+}
+
+std::uint64_t Fingerprint(const IncastResult& r) {
+  std::uint64_t h = kFnvOffset;
+  h = FnvWord(h, r.rounds_completed);
+  h = FnvDouble(h, r.goodput_mbps);
+  h = FnvWord(h, r.fct_ms.count());
+  for (double s : r.fct_ms.samples()) h = FnvDouble(h, s);
+  for (std::int64_t b = r.cwnd_hist.lo(); b <= r.cwnd_hist.hi(); ++b) {
+    h = FnvWord(h, r.cwnd_hist.CountAt(b));
+  }
+  h = FnvWord(h, r.cwnd_hist.underflow());
+  h = FnvWord(h, r.cwnd_hist.overflow());
+  h = FnvWord(h, r.timeouts);
+  h = FnvWord(h, r.floss_timeouts);
+  h = FnvWord(h, r.lack_timeouts);
+  h = FnvWord(h, r.fast_retransmits);
+  h = FnvWord(h, r.tracked_rounds_at_min_ece);
+  h = FnvWord(h, r.tracked_rounds_with_timeout);
+  h = FnvWord(h, r.tracked_floss);
+  h = FnvWord(h, r.tracked_lack);
+  h = FnvWord(h, r.bottleneck_drops);
+  h = FnvWord(h, r.bottleneck_marks);
+  h = FnvWord(h, static_cast<std::uint64_t>(r.bottleneck_max_queue));
+  h = FnvDouble(h, r.flow_fairness);
+  h = FnvWord(h, r.events);
+  h = FnvWord(h, r.packets_forwarded);
+  h = FnvDouble(h, r.sim_seconds);
+  h = FnvWord(h, r.invariant_violations);
+  h = FnvWord(h, r.packets_originated);
+  h = FnvWord(h, r.packets_dropped);
+  h = FnvWord(h, r.packets_duplicated);
+  h = FnvWord(h, r.checksum_discards);
+  return h;
 }
 
 }  // namespace dctcpp

@@ -141,4 +141,11 @@ struct IncastResult {
 /// Runs one incast simulation to completion and returns its metrics.
 IncastResult RunIncast(const IncastConfig& config);
 
+/// Order-sensitive FNV-1a (util/fnv.h) over every deterministic field of
+/// the result, doubles by bit pattern: equal fingerprints mean
+/// bit-identical results. Excludes windows_run / gang_windows /
+/// sync_rounds / cross_shard_handoffs / shard_events, which describe how
+/// the coordinator scheduled a sharded run, not what it computed.
+std::uint64_t Fingerprint(const IncastResult& r);
+
 }  // namespace dctcpp

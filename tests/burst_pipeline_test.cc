@@ -1,142 +1,16 @@
-// Differential tests for the prefetched burst datapath and one-copy egress.
-//
-// The scalar reference mode (SetScalarReferenceForTest) replays the
-// pre-burst-pipeline datapath: per-packet wheel pops with no same-tick
-// batch drain, no lookahead prefetch, and the original three-copy egress
-// chain (queue -> on_wire_ -> propagating_). Every construct the burst
-// pipeline touches — region-staged queues, upper-bound wheel memo,
-// calendar-drain prefetch — must be invisible in simulation results:
-// staged and scalar runs of the same workload are required to agree on
-// every aggregate, under the full impairment matrix and across shard
-// counts. The queue-level tests pin down the staged-region semantics the
-// end-to-end runs rely on.
-//
-// The flag is captured at construction (like the FIFO/flow-table reference
-// modes), so each run constructs its own topology after toggling.
+// One-copy egress: the staged-queue region semantics the end-to-end runs
+// rely on, and the one-cacheline Packet layout the burst pipeline needs.
+// End-to-end, the burst pipeline (wheel batch drain, prefetch, one-copy
+// egress) is pinned by the golden table in tests/golden_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "dctcpp/net/packet.h"
 #include "dctcpp/net/queue.h"
-#include "dctcpp/util/reference_mode.h"
-#include "dctcpp/util/thread_pool.h"
-#include "dctcpp/workload/incast.h"
 
 namespace dctcpp {
 namespace {
-
-using namespace time_literals;
-
-struct ImpairmentProfile {
-  const char* name;
-  ImpairmentConfig impairment;
-};
-
-std::vector<ImpairmentProfile> Profiles() {
-  std::vector<ImpairmentProfile> profiles;
-  profiles.push_back({"clean", {}});
-  {
-    ImpairmentConfig lossy;
-    lossy.ge_p_good_to_bad = 0.01;
-    lossy.ge_p_bad_to_good = 0.3;
-    lossy.ge_loss_bad = 0.5;
-    lossy.reorder_prob = 0.02;
-    profiles.push_back({"lossy", lossy});
-  }
-  {
-    ImpairmentConfig chaos;
-    chaos.random_loss = 0.005;
-    chaos.duplicate_prob = 0.01;
-    chaos.corrupt_prob = 0.005;
-    chaos.reorder_prob = 0.01;
-    profiles.push_back({"chaos", chaos});
-  }
-  return profiles;
-}
-
-IncastResult RunMode(bool scalar_reference, const ImpairmentConfig& impair,
-                     int shards, ThreadPool* pool) {
-  SetScalarReferenceForTest(scalar_reference);
-  IncastConfig config;
-  config.protocol = Protocol::kDctcp;
-  config.num_flows = 40;
-  config.rounds = 4;
-  config.total_bytes = 256 * kKiB;
-  config.min_rto = 10 * kMillisecond;
-  config.seed = 3;
-  config.link.impairment = impair;
-  config.shards = shards;
-  config.shard_pool = shards > 0 ? pool : nullptr;
-  const IncastResult r = RunIncast(config);
-  SetScalarReferenceForTest(false);
-  return r;
-}
-
-void ExpectIdentical(const IncastResult& staged, const IncastResult& scalar) {
-  EXPECT_EQ(staged.goodput_mbps, scalar.goodput_mbps);
-  EXPECT_EQ(staged.rounds_completed, scalar.rounds_completed);
-  EXPECT_EQ(staged.timeouts, scalar.timeouts);
-  EXPECT_EQ(staged.floss_timeouts, scalar.floss_timeouts);
-  EXPECT_EQ(staged.lack_timeouts, scalar.lack_timeouts);
-  EXPECT_EQ(staged.fast_retransmits, scalar.fast_retransmits);
-  EXPECT_EQ(staged.events, scalar.events);
-  EXPECT_EQ(staged.packets_forwarded, scalar.packets_forwarded);
-  EXPECT_EQ(staged.bottleneck_drops, scalar.bottleneck_drops);
-  EXPECT_EQ(staged.bottleneck_marks, scalar.bottleneck_marks);
-  EXPECT_EQ(staged.flow_fairness, scalar.flow_fairness);
-  EXPECT_EQ(staged.invariant_violations, 0u);
-  EXPECT_EQ(scalar.invariant_violations, 0u);
-}
-
-/// The canonical incast under each impairment profile, single-simulator:
-/// the burst pipeline (wheel batch drain + prefetch + one-copy egress)
-/// must be bit-identical to the scalar per-packet oracle.
-TEST(BurstPipelineDifferential, UnshardedMatchesScalarUnderImpairments) {
-  for (const ImpairmentProfile& p : Profiles()) {
-    SCOPED_TRACE(p.name);
-    const IncastResult staged = RunMode(false, p.impairment, 0, nullptr);
-    const IncastResult scalar = RunMode(true, p.impairment, 0, nullptr);
-    ExpectIdentical(staged, scalar);
-  }
-}
-
-/// Sharded engine: the calendar-drain prefetch and the sharded DropServing
-/// handoff replace the staged wire, and the lookahead windows interleave
-/// the two paths differently — results must still match the scalar oracle
-/// at every shard count.
-TEST(BurstPipelineDifferential, ShardedMatchesScalarUnderImpairments) {
-  ThreadPool pool(3);
-  for (const ImpairmentProfile& p : Profiles()) {
-    for (const int shards : {2, 4}) {
-      SCOPED_TRACE(std::string(p.name) + " shards=" + std::to_string(shards));
-      const IncastResult staged = RunMode(false, p.impairment, shards, &pool);
-      const IncastResult scalar = RunMode(true, p.impairment, shards, &pool);
-      ExpectIdentical(staged, scalar);
-    }
-  }
-}
-
-/// Mixed-mode cross-check within the parallel engine's shard-count
-/// invariance contract: a staged shards=1 run anchors both staged and
-/// scalar runs at higher shard counts, so the scalar oracle cannot drift
-/// into a consistent-but-wrong parallel variant.
-TEST(BurstPipelineDifferential, StagedAndScalarAgreeAcrossShardCounts) {
-  ThreadPool pool(3);
-  ImpairmentConfig lossy;
-  lossy.ge_p_good_to_bad = 0.01;
-  lossy.ge_p_bad_to_good = 0.3;
-  lossy.ge_loss_bad = 0.5;
-  const IncastResult anchor = RunMode(false, lossy, 1, nullptr);
-  const IncastResult sharded_staged = RunMode(false, lossy, 4, &pool);
-  const IncastResult sharded_scalar = RunMode(true, lossy, 4, &pool);
-  ExpectIdentical(anchor, sharded_staged);
-  ExpectIdentical(anchor, sharded_scalar);
-}
-
-// ---------------------------------------------------------------------------
-// Staged-queue region semantics: the one-copy egress invariants the
-// end-to-end runs rely on.
 
 Packet MakePacket(std::uint64_t uid, Bytes payload) {
   Packet pkt;
@@ -163,7 +37,7 @@ TEST(StagedQueue, ServiceAndWireRegionsLeaveBufferAccounting) {
   EXPECT_EQ(q.PacketCount(), 2u);
   EXPECT_EQ(q.OccupancyBytes(), 2 * wire);
   EXPECT_EQ(q.ComputeOccupancyBytes(), q.OccupancyBytes());
-  // Front() (the reference-transmitter view) now reads the queued region.
+  // Front() now reads the queued region.
   EXPECT_EQ(q.Front().uid, 2u);
 
   // Serving -> propagating, in place; next service can begin.

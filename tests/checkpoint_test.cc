@@ -1,7 +1,7 @@
 // Checkpoint/restore fidelity: a churn soak checkpointed at tick T and
 // resumed must be bit-identical (equal state fingerprint) to the same run
-// left uninterrupted — across shard counts, thread pools, ACK-processing
-// modes, and impairment profiles.
+// left uninterrupted — across shard counts, thread pools, and impairment
+// profiles. A blob of any other format version must not restore.
 //
 // Protocol (see workload/churn.h): the reference run and the restored run
 // must stop at the same RunTo boundaries, because the coordinator's window
@@ -10,12 +10,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/churn.h"
@@ -139,13 +139,24 @@ TEST(CheckpointTest, ResumeMatchesWithThreadPools) {
   }
 }
 
-TEST(CheckpointTest, ResumeMatchesPerAckMode) {
-  TcpSocket::SetBatchedAckMode(false);
-  ExpectBitIdenticalResume(SmallConfig(2, Profile::kLossy),
-                           EvenStops(6 * kMillisecond, 3), /*cut=*/1);
-  TcpSocket::SetBatchedAckMode(true);
-  ExpectBitIdenticalResume(SmallConfig(2, Profile::kLossy),
-                           EvenStops(6 * kMillisecond, 3), /*cut=*/1);
+// The version word follows the magic at the head of every blob. A blob
+// written under another layout must abort the restore, not misparse.
+TEST(CheckpointDeathTest, RestoreRejectsOtherFormatVersion) {
+  ChurnWorkload w(SmallConfig(1, Profile::kClean));
+  w.Start();
+  w.RunTo(2 * kMillisecond);
+  std::vector<std::uint8_t> blob = w.SaveCheckpoint();
+  std::uint32_t version = 0;
+  std::memcpy(&version, blob.data() + 4, sizeof version);
+  ASSERT_EQ(version, CheckpointWriter::kVersion);
+  version = CheckpointWriter::kVersion - 1;
+  std::memcpy(blob.data() + 4, &version, sizeof version);
+  EXPECT_DEATH_IF_SUPPORTED(
+      {
+        ChurnWorkload restored(SmallConfig(1, Profile::kClean));
+        restored.RestoreCheckpoint(blob);
+      },
+      "kVersion");
 }
 
 // The headline satellite: an impaired N=1400 churn run saved at 50

@@ -1,7 +1,7 @@
 // Flat flow table: key packing, open-addressing behaviour under churn, a
-// randomized differential against the std::map oracle backend, and
-// host-level demux equivalence between the two backends (including the
-// listener-fallback and unmatched paths the incast workload exercises).
+// randomized differential against the std::map reference table, and the
+// host-level demux decision tree (including the listener-fallback and
+// unmatched paths the incast workload exercises).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,20 +13,10 @@
 #include "dctcpp/net/packet.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/flow_table.h"
+#include "reference/map_flow_table.h"
 
 namespace dctcpp {
 namespace {
-
-/// Restores the process-wide backend flag on scope exit so a failing test
-/// cannot leak reference mode into later tests.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(ReferenceFlowTableEnabled()) {}
-  ~BackendGuard() { SetReferenceFlowTableForTest(saved_); }
-
- private:
-  bool saved_;
-};
 
 TEST(PackFlowKeyTest, EachFieldOccupiesDistinctBits) {
   const std::uint64_t base = PackFlowKey(5000, 7, 9000);
@@ -150,40 +140,13 @@ TEST(FlowTableDifferentialTest, TwentyThousandRandomOpsMatchMapOracle) {
   }
 }
 
-TEST(FlowTableWrapperTest, BackendSelectedAtConstruction) {
-  BackendGuard guard;
-  SetReferenceFlowTableForTest(false);
-  FlowTable<int> flat_table;
-  EXPECT_FALSE(flat_table.is_reference());
-  SetReferenceFlowTableForTest(true);
-  FlowTable<int> map_table;
-  EXPECT_TRUE(map_table.is_reference());
-  // The flag is sampled at construction: the earlier table keeps its
-  // backend.
-  EXPECT_FALSE(flat_table.is_reference());
-  for (int i = 0; i < 100; ++i) {
-    flat_table.Insert(i, i);
-    map_table.Insert(i, i);
-  }
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_NE(flat_table.Find(i), nullptr);
-    ASSERT_NE(map_table.Find(i), nullptr);
-    EXPECT_EQ(*flat_table.Find(i), *map_table.Find(i));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Host demux through both backends
+// Host demux
 
 struct DemuxCounts {
   std::uint64_t conn = 0;
   std::uint64_t listener = 0;
   std::uint64_t unmatched = 0;
-
-  bool operator==(const DemuxCounts& o) const {
-    return conn == o.conn && listener == o.listener &&
-           unmatched == o.unmatched;
-  }
 };
 
 Packet To(NodeId dst, PortNum dst_port, NodeId src, PortNum src_port) {
@@ -228,18 +191,12 @@ DemuxCounts RunDemuxScenario() {
   return counts;
 }
 
-TEST(HostDemuxDifferentialTest, FlatAndMapBackendsAgree) {
-  BackendGuard guard;
-  SetReferenceFlowTableForTest(false);
-  const DemuxCounts flat = RunDemuxScenario();
-  SetReferenceFlowTableForTest(true);
-  const DemuxCounts reference = RunDemuxScenario();
-
-  EXPECT_TRUE(flat == reference);
-  // And both match the decision tree worked out by hand.
-  EXPECT_EQ(flat.conn, 2u);
-  EXPECT_EQ(flat.listener, 2u);
-  EXPECT_EQ(flat.unmatched, 4u);
+TEST(HostDemuxTest, FollowsDecisionTree) {
+  const DemuxCounts counts = RunDemuxScenario();
+  // The decision tree worked out by hand.
+  EXPECT_EQ(counts.conn, 2u);
+  EXPECT_EQ(counts.listener, 2u);
+  EXPECT_EQ(counts.unmatched, 4u);
 }
 
 // ---------------------------------------------------------------------------

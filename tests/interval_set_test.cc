@@ -7,6 +7,7 @@
 
 #include "dctcpp/util/interval_set.h"
 #include "dctcpp/util/rng.h"
+#include "reference/map_interval_set.h"
 
 namespace dctcpp {
 namespace {

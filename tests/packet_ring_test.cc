@@ -1,14 +1,11 @@
-// PacketRing / PacketFifo tests: wrap-around, growth under load, in-place
-// slot mutation, reference-mode switching, and the end-to-end determinism
-// contract (ring vs reference-deque datapath must produce bit-identical
-// simulation results).
+// PacketRing tests: wrap-around, growth under load, and in-place slot
+// mutation.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "dctcpp/net/packet_ring.h"
 #include "dctcpp/util/rng.h"
-#include "dctcpp/workload/incast.h"
 
 namespace dctcpp {
 namespace {
@@ -102,70 +99,6 @@ TEST(PacketRingTest, AtIndexesFromFrontAcrossWrapAndGrowth) {
   ring.PopFront();
   ring.PopFront();
   EXPECT_EQ(ring.Front().ecn, Ecn::kCe);
-}
-
-TEST(PacketFifoTest, AtMatchesBothBackends) {
-  PacketFifo production;
-  SetReferenceFifoForTest(true);
-  PacketFifo reference;
-  SetReferenceFifoForTest(false);
-  for (PacketFifo* fifo : {&production, &reference}) {
-    for (std::uint64_t i = 0; i < 5; ++i) fifo->PushBack(Pkt(i));
-    fifo->PopFront();
-    for (std::size_t i = 0; i < fifo->Size(); ++i) {
-      EXPECT_EQ(fifo->At(i).uid, i + 1);
-    }
-  }
-}
-
-TEST(PacketFifoTest, ReferenceModeIsConstructionTime) {
-  EXPECT_FALSE(ReferenceFifoEnabled());
-  PacketFifo production;
-  SetReferenceFifoForTest(true);
-  EXPECT_TRUE(ReferenceFifoEnabled());
-  PacketFifo reference;
-  SetReferenceFifoForTest(false);
-
-  // Both behave identically regardless of backing store.
-  for (PacketFifo* fifo : {&production, &reference}) {
-    fifo->PushBack(Pkt(1));
-    fifo->PushBack(Pkt(2));
-    EXPECT_EQ(fifo->Size(), 2u);
-    EXPECT_EQ(fifo->Front().uid, 1u);
-    fifo->PopFront();
-    EXPECT_EQ(fifo->Front().uid, 2u);
-    fifo->PopFront();
-    EXPECT_TRUE(fifo->Empty());
-  }
-}
-
-// The determinism gate: the container swap must be a pure mechanism
-// change. The same seeded incast, run on the production ring datapath and
-// on the reference deque datapath, must agree on every simulation output.
-TEST(DatapathDeterminismTest, RingAndReferenceFifoProduceIdenticalRuns) {
-  IncastConfig config;
-  config.protocol = Protocol::kDctcp;
-  config.num_flows = 24;
-  config.rounds = 8;
-  config.total_bytes = 512 * 1024;
-  config.seed = 3;
-
-  SetReferenceFifoForTest(false);
-  const IncastResult ring = RunIncast(config);
-  SetReferenceFifoForTest(true);
-  const IncastResult reference = RunIncast(config);
-  SetReferenceFifoForTest(false);
-
-  EXPECT_EQ(ring.goodput_mbps, reference.goodput_mbps);
-  EXPECT_EQ(ring.timeouts, reference.timeouts);
-  EXPECT_EQ(ring.floss_timeouts, reference.floss_timeouts);
-  EXPECT_EQ(ring.lack_timeouts, reference.lack_timeouts);
-  EXPECT_EQ(ring.events, reference.events);
-  EXPECT_EQ(ring.packets_forwarded, reference.packets_forwarded);
-  EXPECT_EQ(ring.rounds_completed, reference.rounds_completed);
-  EXPECT_EQ(ring.bottleneck_marks, reference.bottleneck_marks);
-  EXPECT_EQ(ring.bottleneck_drops, reference.bottleneck_drops);
-  EXPECT_EQ(ring.fct_ms.samples(), reference.fct_ms.samples());
 }
 
 }  // namespace

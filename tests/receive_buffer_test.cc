@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dctcpp/tcp/receive_buffer.h"
+#include "reference/map_interval_set.h"
 
 namespace dctcpp {
 namespace {

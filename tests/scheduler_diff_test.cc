@@ -17,6 +17,7 @@
 
 #include "dctcpp/sim/scheduler.h"
 #include "dctcpp/util/rng.h"
+#include "reference/heap_scheduler.h"
 
 namespace dctcpp {
 namespace {

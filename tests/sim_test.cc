@@ -16,6 +16,7 @@
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/sim/timer.h"
 #include "dctcpp/util/rng.h"
+#include "reference/heap_scheduler.h"
 
 namespace dctcpp {
 namespace {
