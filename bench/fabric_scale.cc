@@ -9,7 +9,14 @@
 //     min_cut} x shards {1, 2, 4, 8}, plus a pooled run, a fixed-window
 //     run and a pruning-off run. Gate: ONE fingerprint across the whole
 //     matrix (partitioning may only change scheduling, never results)
-//     and zero invariant violations.
+//     and zero invariant violations. Window-reduction gate: the fixed-W
+//     oracle at S = 4 must publish >= 5x the windows of the adaptive
+//     channel-clock run. The matrix rows with S > 1 run inline with no
+//     pool, so their wall column measures sharding overhead, not speedup.
+//  1b. Multicore speedup (full mode only) — the k = 16 matrix run at S = 1
+//     inline vs S = 4 on a 3-thread pool, interleaved, median of 5 each.
+//     Gate: >= 1.5x when the machine has >= 4 hardware threads; on fewer
+//     the JSON reports "speedup": null rather than a core-starved ratio.
 //  2. Cross-shard fraction gate — at S = 4, pod or min-cut must carry a
 //     >= 3x (smoke: 1.2x) smaller fraction of calendar deliveries across
 //     shards than random. This is the point of topology-aware
@@ -33,6 +40,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dctcpp/util/thread_pool.h"
@@ -64,6 +72,11 @@ struct MatrixPoint {
   int pruned_pairs = 0;
   std::uint64_t fingerprint = 0;
 };
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 bool CheckRun(const char* what, const FabricRunResult& r, bool* ok) {
   bool good = true;
@@ -145,9 +158,12 @@ int Main(int argc, char** argv) {
                   p.wall_s);
     }
   }
+  // Same run, different engine knobs: pool, fixed-W oracle, no pruning.
+  ThreadPool pool(3);
+  std::uint64_t adaptive_windows = 0;
+  std::uint64_t fixed_windows = 0;
+  const double min_window_ratio = 5.0;
   {
-    // Same run, different engine knobs: pool, fixed-W oracle, no pruning.
-    ThreadPool pool(3);
     FabricRunConfig config = base;
     config.strategy = PartitionStrategy::kPod;
     config.shards = 4;
@@ -167,6 +183,63 @@ int Main(int argc, char** argv) {
         ok = false;
         break;
       }
+    }
+    adaptive_windows = pooled.windows_run;
+    fixed_windows = fixed.windows_run;
+  }
+  std::printf("window reduction S=4: fixed-W %llu vs adaptive %llu "
+              "(need >= %.0fx)\n",
+              Ull(fixed_windows), Ull(adaptive_windows), min_window_ratio);
+  if (static_cast<double>(fixed_windows) <
+      min_window_ratio * static_cast<double>(adaptive_windows)) {
+    std::fprintf(stderr,
+                 "fabric_scale: GATE FAIL: fixed-W published %llu windows, "
+                 "< %.0fx adaptive's %llu\n",
+                 Ull(fixed_windows), min_window_ratio, Ull(adaptive_windows));
+    ok = false;
+  }
+
+  // ---- 1b. multicore speedup (full mode only) ----------------------------
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  const double min_speedup = 1.5;
+  double serial_s = 0.0;
+  double pooled_s = 0.0;
+  bool speedup_measured = false;
+  if (!smoke) {
+    constexpr int kReps = 5;
+    std::vector<double> serial_walls;
+    std::vector<double> pooled_walls;
+    FabricRunConfig config = base;
+    config.strategy = PartitionStrategy::kPod;
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (const int shards : {1, 4}) {
+        config.shards = shards;
+        config.shard_pool = shards > 1 ? &pool : nullptr;
+        const double t0 = Now();
+        const FabricRunResult r = RunFabricWorkload(config);
+        (shards > 1 ? pooled_walls : serial_walls).push_back(Now() - t0);
+        if (Fingerprint(r) != expected_fp) {
+          std::fprintf(stderr,
+                       "fabric_scale: GATE FAIL: timed S=%d run diverged "
+                       "from matrix\n",
+                       shards);
+          ok = false;
+        }
+      }
+    }
+    serial_s = Median(serial_walls);
+    pooled_s = Median(pooled_walls);
+    speedup_measured = hardware_threads >= 4;
+    std::printf("speedup k=%d: S=1 inline %.3fs, S=4 on 3 threads %.3fs "
+                "(%.2fx, %u hardware threads, need >= %.1fx)\n",
+                k, serial_s, pooled_s, serial_s / pooled_s, hardware_threads,
+                min_speedup);
+    if (speedup_measured && serial_s < min_speedup * pooled_s) {
+      std::fprintf(stderr,
+                   "fabric_scale: GATE FAIL: pooled S=4 speedup %.2fx < "
+                   "%.1fx\n",
+                   serial_s / pooled_s, min_speedup);
+      ok = false;
     }
   }
 
@@ -277,7 +350,6 @@ int Main(int argc, char** argv) {
     big.fat_tree.hosts_per_edge = 98;  // 32 pods x 16 edges x 98 = 50,176
     big.strategy = PartitionStrategy::kPod;
     big.shards = 4;
-    ThreadPool pool(3);
     big.shard_pool = &pool;
     struct Job {
       const char* workload;
@@ -362,6 +434,26 @@ int Main(int argc, char** argv) {
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
+    std::fprintf(out,
+                 "  \"matrix_note\": \"S>1 rows run inline with no pool: "
+                 "wall_seconds is sharding overhead, not a speedup\",\n");
+    std::fprintf(out,
+                 "  \"window_reduction_s4\": {\"fixed_windows\": %llu, "
+                 "\"adaptive_windows\": %llu, \"min_ratio\": %.1f},\n",
+                 Ull(fixed_windows), Ull(adaptive_windows), min_window_ratio);
+    if (speedup_measured) {
+      std::fprintf(out,
+                   "  \"speedup_s4\": {\"hardware_threads\": %u, "
+                   "\"serial_seconds\": %.3f, \"pooled_seconds\": %.3f, "
+                   "\"speedup\": %.2f, \"min_speedup\": %.1f},\n",
+                   hardware_threads, serial_s, pooled_s, serial_s / pooled_s,
+                   min_speedup);
+    } else {
+      std::fprintf(out,
+                   "  \"speedup_s4\": {\"hardware_threads\": %u, "
+                   "\"speedup\": null, \"min_speedup\": %.1f},\n",
+                   hardware_threads, min_speedup);
+    }
     std::fprintf(out,
                  "  \"cross_fraction_s4\": {\"random\": %.4f, \"pod\": "
                  "%.4f, \"min_cut\": %.4f, \"best_ratio\": %.2f, "

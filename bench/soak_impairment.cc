@@ -3,9 +3,8 @@
 // corruption, duplication, link flaps, and everything at once) x flow
 // counts x {DCTCP, DCTCP+}, with the always-on invariant checker armed.
 // The harness fails (exit 1) if any run reports an invariant violation, or
-// if the thread-pool or shard-count determinism gate finds a single bit of
-// divergence between pool sizes 1, 2, and 8 or shard counts 1, 2, 4, and
-// 8 on the same seed.
+// if the thread-pool determinism gate finds a single bit of divergence
+// between pool sizes 1, 2, and 8 on the same seed.
 //
 // Alongside the correctness gates it records the protocol story: how much
 // goodput DCTCP and DCTCP+ each give back as the fault rate grows (the
@@ -162,59 +161,6 @@ bool DeterminismGate(const IncastConfig& config, const char* label) {
   return ok;
 }
 
-/// Bitwise equality over a single run's aggregates — the shard-count twin
-/// of PointsIdentical (a sharded run has no sweep merge; compare the
-/// IncastResult directly).
-bool ResultsIdentical(const IncastResult& a, const IncastResult& b) {
-  return a.goodput_mbps == b.goodput_mbps &&
-         a.fct_ms.count() == b.fct_ms.count() &&
-         a.rounds_completed == b.rounds_completed &&
-         a.timeouts == b.timeouts &&
-         a.floss_timeouts == b.floss_timeouts &&
-         a.lack_timeouts == b.lack_timeouts &&
-         a.fast_retransmits == b.fast_retransmits &&
-         a.bottleneck_drops == b.bottleneck_drops &&
-         a.bottleneck_marks == b.bottleneck_marks &&
-         a.flow_fairness == b.flow_fairness && a.events == b.events &&
-         a.packets_forwarded == b.packets_forwarded &&
-         a.invariant_violations == b.invariant_violations &&
-         a.packets_originated == b.packets_originated &&
-         a.packets_dropped == b.packets_dropped &&
-         a.packets_duplicated == b.packets_duplicated &&
-         a.checksum_discards == b.checksum_discards &&
-         a.hit_time_limit == b.hit_time_limit;
-}
-
-/// Runs the same impaired point on the parallel engine at 1, 2, 4, and 8
-/// shards (mixed pool sizes) and demands bit-identical results — the
-/// soak-matrix arm of the shard determinism gate.
-bool ShardGate(IncastConfig config, const char* label) {
-  ThreadPool pool2(2);
-  ThreadPool pool6(6);
-  const struct {
-    int shards;
-    ThreadPool* pool;
-  } variants[] = {{1, nullptr}, {2, &pool6}, {4, &pool2}, {8, &pool6}};
-  bool ok = true;
-  bool have_reference = false;
-  IncastResult reference;
-  for (const auto& v : variants) {
-    config.shards = v.shards;
-    config.shard_pool = v.pool;
-    const IncastResult r = RunIncast(config);
-    if (r.invariant_violations != 0) ok = false;
-    if (!have_reference) {
-      reference = r;
-      have_reference = true;
-    } else if (!ResultsIdentical(reference, r)) {
-      ok = false;
-    }
-  }
-  std::fprintf(stderr, "shard gate [%s]: %s\n", label,
-               ok ? "bit-identical across shards 1/2/4/8" : "DIVERGED");
-  return ok;
-}
-
 int Main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = nullptr;
@@ -285,20 +231,6 @@ int Main(int argc, char** argv) {
         deterministic;
   }
 
-  // Shard-count determinism on the same soak matrix: the parallel engine
-  // must reproduce the identical run at every shard count.
-  bool shard_deterministic =
-      ShardGate(SoakConfig(Protocol::kDctcp, 40, profiles.back(), rounds),
-                "hostile N=40");
-  if (!smoke) {
-    shard_deterministic =
-        ShardGate(SoakConfig(Protocol::kDctcpPlus, 200, profiles[2], rounds),
-                  "burst1 N=200") &&
-        ShardGate(SoakConfig(Protocol::kDctcpPlus, 200, profiles[3], rounds),
-                  "reorder N=200") &&
-        shard_deterministic;
-  }
-
   if (out_path != nullptr) {
     std::FILE* out = std::fopen(out_path, "w");
     if (!out) {
@@ -309,8 +241,6 @@ int Main(int argc, char** argv) {
     std::fprintf(out, "  \"rounds\": %d,\n", rounds);
     std::fprintf(out, "  \"determinism_pools_1_2_8\": %s,\n",
                  deterministic ? "true" : "false");
-    std::fprintf(out, "  \"determinism_shards_1_2_4_8\": %s,\n",
-                 shard_deterministic ? "true" : "false");
     std::fprintf(out, "  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SoakPoint& p = points[i];
@@ -348,11 +278,6 @@ int Main(int argc, char** argv) {
   if (!deterministic) {
     std::fprintf(stderr,
                  "soak_impairment: pool-size determinism gate FAILED\n");
-    return 1;
-  }
-  if (!shard_deterministic) {
-    std::fprintf(stderr,
-                 "soak_impairment: shard-count determinism gate FAILED\n");
     return 1;
   }
   return 0;

@@ -3,7 +3,6 @@
 #   - engine_regression   -> BENCH_engine.json   (scheduler core)
 #   - datapath_regression -> BENCH_datapath.json (per-packet datapath)
 #   - soak_impairment     -> BENCH_soak.json     (fault-profile sweep)
-#   - parallel_scale      -> BENCH_parallel.json (sharded engine)
 #   - fabric_scale        -> BENCH_fabric.json   (topologies+partitioning)
 #   - soak_churn          -> BENCH_churn.json    (flow churn + checkpoint)
 # and records one manifest row per bench — wall-clock seconds and peak
@@ -12,8 +11,8 @@
 # DESIGN.md's performance sections and the acceptance gates (>=2x
 # wheel-vs-heap, >=1.5x datapath packets/sec vs the pre-PR baseline,
 # shard determinism, >=3x cross-shard reduction). datapath_regression,
-# soak_impairment, parallel_scale, and fabric_scale exit nonzero when
-# their determinism gates fail, which fails this script too.
+# soak_impairment, and fabric_scale exit nonzero when their determinism
+# gates fail, which fails this script too.
 #
 # A manifest recorded from a tree with uncommitted changes is not a
 # baseline — its rows can't be reproduced from any commit — so a dirty
@@ -45,7 +44,7 @@ fi
 # No explicit build type: the top-level CMakeLists defaults to
 # RelWithDebInfo, and an existing build dir keeps its configuration.
 expected_benches=(engine_regression datapath_regression soak_impairment
-  parallel_scale fabric_scale soak_churn micro_demux micro_shard_handoff)
+  fabric_scale soak_churn micro_demux micro_shard_handoff)
 cmake -S "$repo_root" -B "$build_dir" >/dev/null
 cmake --build "$build_dir" --target "${expected_benches[@]}" -j >/dev/null
 
@@ -186,17 +185,13 @@ fi
 echo "hw counters: $hw_counters"
 # Full impairment matrix with the invariant checker armed; exits nonzero
 # (failing this script) on any invariant violation, or if the same seed is
-# not bit-identical across 1/2/8-thread pools or across 1/2/4/8 shards.
+# not bit-identical across 1/2/8-thread pools.
 run_bench soak_impairment \
   "$build_dir/bench/soak_impairment" "$repo_root/BENCH_soak.json"
 echo "Wrote $repo_root/BENCH_soak.json"
-# Sharded engine: serial-vs-parallel wall clock, partition balance bound,
-# and the shard-count determinism gate on the benchmark workloads.
-run_bench parallel_scale \
-  "$build_dir/bench/parallel_scale" "$repo_root/BENCH_parallel.json"
-echo "Wrote $repo_root/BENCH_parallel.json"
 # Fabric topologies + partitioning: strategy x shard determinism matrix,
-# cross-shard-fraction and channel-pruning gates, and the 50k-host
+# cross-shard-fraction, channel-pruning, window-reduction and multicore
+# speedup gates, and the 50k-host
 # fat-tree permutation / 2048-fan-in incast sweep with the compact-routing
 # memory gate.
 run_bench fabric_scale \

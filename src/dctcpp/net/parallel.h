@@ -357,7 +357,7 @@ class ParallelSimulation {
   std::uint64_t invariant_violations() const;
   std::string first_violation() const;
 
-  // Window-loop instrumentation (micro_shard_handoff / parallel_scale).
+  // Window-loop instrumentation (micro_shard_handoff / fabric_scale).
   /// Windows dispatched by the coordinator. In adaptive mode a window is
   /// one published execution segment — a gang publish spanning a whole
   /// concurrent phase (many sub-rounds), or one inline sequential relay

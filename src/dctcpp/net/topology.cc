@@ -131,34 +131,13 @@ TwoTierTopology TwoTierTopology::Build(Network& net, int workers,
   DCTCPP_ASSERT(hosts_per_leaf >= 1);
   TwoTierTopology topo;
 
-  // Shard placement (only consulted when `net` is sharded). The incast
-  // fan-in makes the aggregator by far the busiest node, so it gets a
-  // shard to itself; every other node goes greedy-least-loaded over the
-  // remaining shards using coarse event-share weights (the leaf feeding
-  // the aggregator and the root forward almost all traffic, the rest are
-  // light). The plan depends only on (S, node counts), never on runtime
-  // state, so placement is as deterministic as the topology itself.
-  const int num_shards = net.shard_count();
-  const int agg_shard = num_shards > 1 ? num_shards - 1 : 0;
-  std::vector<long> shard_load(
-      static_cast<std::size_t>(num_shards > 1 ? num_shards - 1 : 1), 0);
-  auto place = [&shard_load](int weight) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < shard_load.size(); ++i) {
-      if (shard_load[i] < shard_load[best]) best = i;
-    }
-    shard_load[best] += weight;
-    return static_cast<int>(best);
-  };
-
-  topo.root = &net.AddSwitch("root", place(3));
+  topo.root = &net.AddSwitch("root");
 
   const int total_hosts = workers + 1;
   const int num_leaves =
       (total_hosts + hosts_per_leaf - 1) / hosts_per_leaf;
   for (int i = 0; i < num_leaves; ++i) {
-    Switch& leaf =
-        net.AddSwitch("switch" + std::to_string(i + 1), place(i == 0 ? 3 : 1));
+    Switch& leaf = net.AddSwitch("switch" + std::to_string(i + 1));
     net.ConnectSwitches(*topo.root, leaf, config);
     topo.leaves.push_back(&leaf);
   }
@@ -167,10 +146,10 @@ TwoTierTopology TwoTierTopology::Build(Network& net, int workers,
   // Aggregator takes the first slot on Switch 1; workers fill the leaves
   // round-robin so the fan-in converges through the root, as on the
   // testbed.
-  topo.aggregator = &net.AddHost("aggregator", agg_shard);
+  topo.aggregator = &net.AddHost("aggregator");
   net.ConnectHost(*topo.aggregator, *topo.switch1, config);
   for (int i = 0; i < workers; ++i) {
-    Host& w = net.AddHost("worker" + std::to_string(i), place(1));
+    Host& w = net.AddHost("worker" + std::to_string(i));
     Switch& leaf = *topo.leaves[static_cast<std::size_t>((i + 1) %
                                                          num_leaves)];
     net.ConnectHost(w, leaf, config);

@@ -1,8 +1,5 @@
 #include "dctcpp/tcp/probe.h"
 
-#include "dctcpp/net/packet.h"
-#include "dctcpp/tcp/socket.h"
-
 namespace dctcpp {
 
 RecordingProbe::RecordingProbe(int cwnd_bins)
@@ -10,12 +7,10 @@ RecordingProbe::RecordingProbe(int cwnd_bins)
 
 void RecordingProbe::OnAckProcessed(const TcpSocket& sk, int cwnd, bool ece,
                                     bool at_min_with_ece) {
+  (void)sk;
   ++acks_;
   if (ece) ++ece_acks_;
-  if (at_min_with_ece) {
-    ++at_min_with_ece_;
-    if (tick_log_) at_min_ticks_.push_back(sk.sim().Now());
-  }
+  if (at_min_with_ece) ++at_min_with_ece_;
   cwnd_histogram_.Add(cwnd);
 }
 
@@ -28,12 +23,11 @@ void RecordingProbe::OnSegmentSent(const TcpSocket& sk, const Packet& pkt,
 }
 
 void RecordingProbe::OnTimeout(const TcpSocket& sk, TimeoutKind kind) {
+  (void)sk;
   if (kind == TimeoutKind::kFullWindowLoss) {
     ++floss_timeouts_;
-    if (tick_log_) floss_ticks_.push_back(sk.sim().Now());
   } else {
     ++lack_timeouts_;
-    if (tick_log_) lack_ticks_.push_back(sk.sim().Now());
   }
 }
 

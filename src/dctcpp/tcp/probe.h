@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "dctcpp/stats/histogram.h"
-#include "dctcpp/util/time.h"
 
 namespace dctcpp {
 
@@ -86,17 +84,6 @@ class RecordingProbe : public TcpProbe {
   /// round-based workloads that aggregate per round.
   void ResetCounters();
 
-  /// Additionally records the simulated tick of every at-min-with-ECE
-  /// event and timeout, so a harness that cannot snapshot the probe
-  /// mid-run (the sharded incast driver: the probe lives on a worker
-  /// shard, the round driver on the aggregator's) can bin events into
-  /// rounds after the run from the recorded round boundaries.
-  void EnableTickLog() { tick_log_ = true; }
-  bool tick_log_enabled() const { return tick_log_; }
-  const std::vector<Tick>& at_min_ticks() const { return at_min_ticks_; }
-  const std::vector<Tick>& floss_ticks() const { return floss_ticks_; }
-  const std::vector<Tick>& lack_ticks() const { return lack_ticks_; }
-
  private:
   Histogram cwnd_histogram_;
   std::uint64_t acks_ = 0;
@@ -107,10 +94,6 @@ class RecordingProbe : public TcpProbe {
   std::uint64_t fast_retransmits_ = 0;
   std::uint64_t segments_sent_ = 0;
   std::uint64_t retransmitted_segments_ = 0;
-  bool tick_log_ = false;
-  std::vector<Tick> at_min_ticks_;
-  std::vector<Tick> floss_ticks_;
-  std::vector<Tick> lack_ticks_;
 };
 
 }  // namespace dctcpp

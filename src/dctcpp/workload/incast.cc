@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "dctcpp/net/parallel.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/tcp/probe.h"
 #include "dctcpp/util/fnv.h"
@@ -29,241 +28,12 @@ struct ProbeSnapshot {
   }
 };
 
-/// Events in (after, upto] of a sorted tick log.
-std::uint64_t CountInRound(const std::vector<Tick>& ticks, Tick after,
-                           Tick upto) {
-  const auto lo = std::upper_bound(ticks.begin(), ticks.end(), after);
-  const auto hi = std::upper_bound(ticks.begin(), ticks.end(), upto);
-  return static_cast<std::uint64_t>(hi - lo);
-}
-
-/// The incast benchmark on the conservative-parallel engine. Mirrors the
-/// single-Simulator path below, with the shard-safety differences called
-/// out inline: per-worker probe vectors (each written only by its own
-/// shard's runner), tracked-flow round statistics reconstructed from the
-/// tracked probe's tick log after the run (the round driver lives on the
-/// aggregator's shard and must not read worker-shard probes mid-run), and
-/// merged coordinator counters in place of the single world's.
-IncastResult RunIncastSharded(const IncastConfig& config) {
-  DCTCPP_ASSERT(config.shards >= 1);
-  DCTCPP_ASSERT(config.background_flows == 0 &&
-                "sharded incast does not support background flows yet");
-  DCTCPP_ASSERT(!config.sample_queue &&
-                "sharded incast does not support queue sampling yet");
-
-  ParallelSimulation psim(config.seed, config.shards);
-  psim.set_lookahead_mode(config.fixed_window_lookahead
-                              ? LookaheadMode::kFixedWindow
-                              : LookaheadMode::kChannelClock);
-  Network net(psim);
-  TwoTierTopology topo =
-      TwoTierTopology::Build(net, config.num_workers, config.link);
-  Simulator& agg_sim = topo.aggregator->sim();
-
-  TcpSocket::Config socket_config = config.socket;
-  socket_config.rto.min_rto = config.min_rto;
-  socket_config.rto.initial_rto =
-      std::max(config.min_rto, 10 * kMillisecond);
-
-  const Bytes per_flow =
-      config.per_flow_bytes > 0
-          ? config.per_flow_bytes
-          : std::max<Bytes>(1, config.total_bytes / config.num_flows);
-
-  auto cc_factory = [&config] {
-    return MakeCongestionOps(config.protocol, config.options);
-  };
-
-  // One probe vector per worker: accepts run on the worker's shard, so
-  // concurrent windows touch disjoint vectors. The tracked flow is worker
-  // 0's first accept — the connect stagger (100 us per flow, far beyond a
-  // SYN round-trip) guarantees it is the globally first accept, i.e. the
-  // same flow the single-Simulator path tracks.
-  std::vector<std::vector<ArenaPtr<RecordingProbe>>> probes(
-      static_cast<std::size_t>(config.num_workers));
-  std::vector<int> worker_index_by_node;
-  for (int w = 0; w < config.num_workers; ++w) {
-    const auto id = static_cast<std::size_t>(topo.workers[w]->id());
-    if (worker_index_by_node.size() <= id) {
-      worker_index_by_node.resize(id + 1, -1);
-    }
-    worker_index_by_node[id] = w;
-  }
-  auto accept_hook = [&probes, &worker_index_by_node](TcpSocket& sk) {
-    const int w =
-        worker_index_by_node[static_cast<std::size_t>(sk.host().id())];
-    auto& vec = probes[static_cast<std::size_t>(w)];
-    vec.push_back(MakeArena<RecordingProbe>(sk.sim().arena()));
-    if (w == 0 && vec.size() == 1) vec.back()->EnableTickLog();
-    sk.set_probe(vec.back().get());
-  };
-
-  std::vector<ArenaPtr<WorkerServer>> servers;
-  for (int w = 0; w < config.num_workers; ++w) {
-    WorkerServer::Config wc;
-    wc.port = kWorkerPort;
-    wc.request_size = config.request_size;
-    wc.response_size = [per_flow] { return per_flow; };
-    wc.on_accept_hook = accept_hook;
-    servers.push_back(MakeArena<WorkerServer>(
-        topo.workers[w]->sim().arena(), *topo.workers[w], cc_factory,
-        socket_config, std::move(wc)));
-  }
-
-  std::vector<ArenaPtr<AggregatorClient>> clients;
-  for (int i = 0; i < config.num_flows; ++i) {
-    Host* worker = topo.workers[i % config.num_workers];
-    clients.push_back(MakeArena<AggregatorClient>(
-        agg_sim.arena(), *topo.aggregator, cc_factory(), socket_config,
-        worker->id(), kWorkerPort, config.request_size));
-  }
-
-  IncastResult result;
-  result.protocol = config.protocol;
-  result.num_flows = config.num_flows;
-  result.per_flow_bytes = per_flow;
-
-  // Round driver — runs entirely in aggregator-shard events. Instead of
-  // snapshotting the tracked probe per round (it lives on another shard),
-  // record the (start, end] bounds of every round and bin the tracked
-  // probe's tick log against them after the run.
-  int connected = 0;
-  int completed_in_round = 0;
-  Tick round_start = 0;
-  Tick first_round_start = -1;
-  Tick finish_tick = -1;
-  std::vector<std::pair<Tick, Tick>> round_bounds;
-
-  std::function<void()> start_round = [&] {
-    round_start = agg_sim.Now();
-    if (first_round_start < 0) first_round_start = round_start;
-    completed_in_round = 0;
-    for (std::size_t ci = 0; ci < clients.size(); ++ci) {
-      auto issue = [&, ci] {
-        clients[ci]->Request(per_flow, [&] {
-          if (++completed_in_round < config.num_flows) return;
-          result.fct_ms.Add(ToMillis(agg_sim.Now() - round_start));
-          ++result.rounds_completed;
-          round_bounds.emplace_back(round_start, agg_sim.Now());
-          if (result.rounds_completed >=
-              static_cast<std::uint64_t>(config.rounds)) {
-            finish_tick = agg_sim.Now();
-            agg_sim.Stop();  // routed to the coordinator's stop flag
-          } else {
-            start_round();
-          }
-        });
-      };
-      if (config.request_stagger > 0) {
-        agg_sim.Schedule(static_cast<Tick>(ci) * config.request_stagger,
-                         issue);
-      } else {
-        issue();
-      }
-    }
-  };
-
-  for (int i = 0; i < config.num_flows; ++i) {
-    agg_sim.Schedule(static_cast<Tick>(i) * 100 * kMicrosecond, [&, i] {
-      clients[i]->Connect([&] {
-        if (++connected == config.num_flows) start_round();
-      });
-    });
-  }
-
-  psim.RunUntil(config.time_limit, config.shard_pool);
-  result.hit_time_limit =
-      result.rounds_completed < static_cast<std::uint64_t>(config.rounds);
-  if (result.hit_time_limit) {
-    DCTCPP_WARN("incast %s N=%d hit time limit after %llu/%d rounds",
-                ToString(config.protocol), config.num_flows,
-                static_cast<unsigned long long>(result.rounds_completed),
-                config.rounds);
-  }
-
-  // After Stop the aggregator legitimately finishes its window, so its
-  // clock may pass the stopping event; the driver recorded the real end.
-  const Tick end_tick =
-      psim.stopped() && finish_tick >= 0 ? finish_tick : config.time_limit;
-  const Tick elapsed =
-      first_round_start >= 0 ? end_tick - first_round_start : 0;
-  const Bytes response_bytes =
-      per_flow * config.num_flows *
-      static_cast<Bytes>(result.rounds_completed);
-  result.goodput_mbps = GoodputMbps(response_bytes, elapsed);
-
-  for (const auto& worker_probes : probes) {
-    for (const auto& probe : worker_probes) {
-      result.cwnd_hist.Merge(probe->cwnd_histogram());
-      result.timeouts += probe->timeouts();
-      result.floss_timeouts += probe->floss_timeouts();
-      result.lack_timeouts += probe->lack_timeouts();
-      result.fast_retransmits += probe->fast_retransmits();
-    }
-  }
-
-  if (!probes[0].empty()) {
-    const RecordingProbe& tracked = *probes[0][0];
-    for (const auto& [start, end] : round_bounds) {
-      const std::uint64_t at_min =
-          CountInRound(tracked.at_min_ticks(), start, end);
-      const std::uint64_t floss =
-          CountInRound(tracked.floss_ticks(), start, end);
-      const std::uint64_t lack =
-          CountInRound(tracked.lack_ticks(), start, end);
-      if (at_min > 0) ++result.tracked_rounds_at_min_ece;
-      if (floss + lack > 0) ++result.tracked_rounds_with_timeout;
-      result.tracked_floss += floss;
-      result.tracked_lack += lack;
-    }
-  }
-
-  std::vector<double> per_flow_bytes_received;
-  per_flow_bytes_received.reserve(clients.size());
-  for (const auto& client : clients) {
-    per_flow_bytes_received.push_back(
-        static_cast<double>(client->total_received()));
-  }
-  result.flow_fairness = JainFairnessIndex(per_flow_bytes_received);
-
-  const auto& bstats = topo.bottleneck->queue().stats();
-  result.bottleneck_drops = bstats.dropped;
-  result.bottleneck_marks = bstats.marked;
-  result.bottleneck_max_queue = bstats.max_occupancy;
-
-  result.events = psim.events_executed();
-  for (int s = 0; s < psim.shard_count(); ++s) {
-    result.shard_events.push_back(psim.shard_events(s));
-  }
-  result.packets_forwarded = psim.packets_forwarded();
-  result.windows_run = psim.windows_run();
-  result.gang_windows = psim.gang_windows();
-  result.sync_rounds = psim.sync_rounds();
-  result.cross_shard_handoffs = psim.cross_shard_handoffs();
-  result.sim_seconds = ToSeconds(end_tick);
-
-  result.invariant_violations = psim.invariant_violations();
-  const NetworkInvariants::Ledger ledger = psim.MergedLedger();
-  result.packets_originated = ledger.originated;
-  result.packets_dropped = ledger.dropped;
-  result.packets_duplicated = ledger.duplicated;
-  result.checksum_discards = ledger.checksum_discards;
-  if (result.invariant_violations > 0) {
-    DCTCPP_WARN("incast %s N=%d: %llu invariant violations (first: %s)",
-                ToString(config.protocol), config.num_flows,
-                static_cast<unsigned long long>(result.invariant_violations),
-                psim.first_violation().c_str());
-  }
-  return result;
-}
-
 }  // namespace
 
 IncastResult RunIncast(const IncastConfig& config) {
   DCTCPP_ASSERT(config.num_flows >= 1);
   DCTCPP_ASSERT(config.num_workers >= 1);
   DCTCPP_ASSERT(config.rounds >= 1);
-  if (config.shards > 0) return RunIncastSharded(config);
 
   Simulator sim(config.seed);
   Network net(sim);

@@ -11,7 +11,6 @@
 
 #include "dctcpp/core/protocol.h"
 #include "dctcpp/net/topology.h"
-#include "dctcpp/util/thread_pool.h"
 #include "dctcpp/stats/histogram.h"
 #include "dctcpp/stats/summary.h"
 #include "dctcpp/stats/time_series.h"
@@ -48,20 +47,6 @@ struct IncastConfig {
   /// Socket knobs shared by every endpoint; the RTO floor is overwritten
   /// from `min_rto`.
   TcpSocket::Config socket;
-  /// > 0 runs the conservative-parallel engine (net/parallel.h) with this
-  /// many shards. Results are bit-identical for every shard count; the
-  /// sharded path does not (yet) support background flows or queue
-  /// sampling. 0 = the classic single-Simulator engine.
-  int shards = 0;
-  /// Worker threads for multi-shard windows (nullptr: run shards inline
-  /// on the calling thread — still deterministic, just not parallel).
-  ThreadPool* shard_pool = nullptr;
-  /// Sharded runs only: use the PR-5 fixed-W lookahead (one global
-  /// window of the topology-wide min link delay per barrier) instead of
-  /// adaptive channel clocks. Results are bit-identical either way —
-  /// tests and benches run both as a differential oracle; the fixed mode
-  /// just pays far more barriers.
-  bool fixed_window_lookahead = false;
 };
 
 struct IncastResult {
@@ -109,17 +94,6 @@ struct IncastResult {
   double flow_fairness = 0.0;
 
   std::uint64_t events = 0;
-  /// Sharded runs only: events executed per shard. max/total bounds the
-  /// achievable parallel speedup; empty on the legacy engine.
-  std::vector<std::uint64_t> shard_events;
-  // Sharded runs only: coordinator window-loop statistics. These depend
-  // on the shard count and lookahead mode by design (adaptive mode exists
-  // to shrink windows_run), so they are deliberately NOT part of the
-  // bit-identical surface that tests/benches fingerprint.
-  std::uint64_t windows_run = 0;         ///< published windows / relay segments
-  std::uint64_t gang_windows = 0;        ///< windows fanned over the pool
-  std::uint64_t sync_rounds = 0;         ///< causality barriers (sub-rounds)
-  std::uint64_t cross_shard_handoffs = 0;
   /// Packets accepted by any egress port over the run (datapath volume).
   std::uint64_t packets_forwarded = 0;
   double sim_seconds = 0.0;
@@ -143,9 +117,7 @@ IncastResult RunIncast(const IncastConfig& config);
 
 /// Order-sensitive FNV-1a (util/fnv.h) over every deterministic field of
 /// the result, doubles by bit pattern: equal fingerprints mean
-/// bit-identical results. Excludes windows_run / gang_windows /
-/// sync_rounds / cross_shard_handoffs / shard_events, which describe how
-/// the coordinator scheduled a sharded run, not what it computed.
+/// bit-identical results.
 std::uint64_t Fingerprint(const IncastResult& r);
 
 }  // namespace dctcpp

@@ -10,12 +10,11 @@
 // test prints the actual value to paste in.
 //
 // Rows that must reproduce one another share a named constant, so the
-// table also pins shard-count and checkpoint invariance: the sharded rows
-// at 2 and 4 shards share one value, and the checkpoint row's restored
-// run must equal its uninterrupted run. The sharded engine's value
-// differs from the unsharded row's only by design: unsharded ports settle
-// serializations lazily, while shards keep one finish event per packet,
-// so `events` differs.
+// table also pins shard-count and checkpoint invariance: the lossy
+// incast-rows fabric run at 1 and 4 shards shares one value, and the
+// checkpoint row's restored run must equal its uninterrupted run. The
+// incast_*, lossy_*, chaos_* and burst* rows run on the serial engine;
+// the fabric and churn rows pin the sharded engine.
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -112,21 +111,35 @@ std::uint64_t RunIncastRow(const IncastConfig& config) {
   return Fingerprint(r);
 }
 
-std::uint64_t ShardedLossyPlus(int shards) {
-  ThreadPool pool(2);
-  IncastConfig config = ImpairedIncast(Protocol::kDctcpPlus, 200, Lossy());
-  config.shards = shards;
-  config.shard_pool = &pool;
-  return RunIncastRow(config);
-}
-
 /// fabric_scale's strategy x shard matrix run (every cell of the matrix
-/// shares this fingerprint) and its 72-host dragonfly runs.
+/// shares this fingerprint), its 72-host dragonfly runs, and the lossy
+/// incast rows below.
 std::uint64_t RunFabricRow(const FabricRunConfig& config) {
   const FabricRunResult r = RunFabricWorkload(config);
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_EQ(r.flows_completed, r.flows);
   return Fingerprint(r);
+}
+
+/// The paper's fan-in tiled over a k = 4 fat-tree (two rows of 8 hosts,
+/// 7 senders of 12 KiB each, DCTCP+, 10 ms RTO floor, seed 7) with
+/// Lossy() on every link, on the sharded engine with a 2-thread pool.
+std::uint64_t FabricIncastRowsLossy(int shards) {
+  ThreadPool pool(2);
+  FabricRunConfig config;
+  config.topo = FabricRunConfig::Topo::kFatTree;
+  config.fat_tree.k = 4;
+  config.pattern = TrafficPattern::kIncastRows;
+  config.row_size = 8;
+  config.fan_in = 7;
+  config.bytes_per_flow = 12 * kKiB;
+  config.protocol = Protocol::kDctcpPlus;
+  config.min_rto = 10 * kMillisecond;
+  config.seed = 7;
+  config.link.impairment = Lossy();
+  config.shards = shards;
+  config.shard_pool = &pool;
+  return RunFabricRow(config);
 }
 
 FabricRunConfig FatTreeMatrix() {
@@ -229,7 +242,7 @@ struct GoldenRow {
   std::uint64_t expected;
 };
 
-constexpr std::uint64_t kLossyPlusN200Sharded = 0x1635926d0a9bfbfcull;
+constexpr std::uint64_t kFabricIncastRowsLossy = 0x77a47b014a74fd06ull;
 constexpr std::uint64_t kFatTreeK16 = 0x63d91fd4b62ffb43ull;
 constexpr std::uint64_t kDragonflyMinimal = 0x77e06396487aeb0cull;
 constexpr std::uint64_t kDragonflyValiant = 0xea95a56011b085f6ull;
@@ -286,10 +299,10 @@ const GoldenRow kRows[] = {
            ImpairedIncast(Protocol::kDctcpPlus, 200, Lossy()));
      },
      0x93e93925a252e4b6ull},
-    {"lossy_dctcpplus_n200_shards2", [] { return ShardedLossyPlus(2); },
-     kLossyPlusN200Sharded},
-    {"lossy_dctcpplus_n200_shards4", [] { return ShardedLossyPlus(4); },
-     kLossyPlusN200Sharded},
+    {"fabric_incastrows_lossy_shards1",
+     [] { return FabricIncastRowsLossy(1); }, kFabricIncastRowsLossy},
+    {"fabric_incastrows_lossy_shards4",
+     [] { return FabricIncastRowsLossy(4); }, kFabricIncastRowsLossy},
     {"fattree_k16_matrix", [] { return RunFabricRow(FatTreeMatrix()); },
      kFatTreeK16},
     {"dragonfly_minimal", [] { return RunFabricRow(Dragonfly(false)); },

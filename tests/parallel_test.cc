@@ -1,10 +1,10 @@
 // Tests for the conservative-parallel engine (net/parallel.h): arrival
 // calendar ordering, the window gang's epoch protocol, and the load-bearing
-// property of the whole design — an incast run is bit-identical at every
-// shard count, whatever thread pool runs the windows.
+// property of the whole design — a fabric run (here the paper's fan-in
+// tiled over a small fat-tree) is bit-identical at every shard count,
+// whatever thread pool runs the windows.
 #include <atomic>
-#include <cstdio>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
-#include "dctcpp/workload/incast.h"
+#include "dctcpp/workload/connection_matrix.h"
 
 namespace dctcpp {
 namespace {
@@ -139,62 +139,15 @@ TEST(WindowGangTest, CallerAloneCompletesWhenPoolIsBusy) {
 
 // --- shard-count determinism ---------------------------------------------
 
-/// Every field of an IncastResult rendered byte-exactly: integers in
-/// decimal, doubles in C99 hex-float ("%a" — no rounding). Two runs are
-/// "bit-identical" iff these strings match.
-std::string Canonical(const IncastResult& r) {
-  std::string out;
-  char buf[64];
-  auto add_u = [&](const char* k, std::uint64_t v) {
-    std::snprintf(buf, sizeof buf, "%s=%llu\n", k,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  auto add_d = [&](const char* k, double v) {
-    std::snprintf(buf, sizeof buf, "%s=%a\n", k, v);
-    out += buf;
-  };
-  add_u("rounds", r.rounds_completed);
-  add_d("goodput", r.goodput_mbps);
-  add_u("fct_n", r.fct_ms.count());
-  for (double s : r.fct_ms.samples()) add_d("fct", s);
-  for (std::int64_t b = r.cwnd_hist.lo(); b <= r.cwnd_hist.hi(); ++b) {
-    add_u("cwnd", r.cwnd_hist.CountAt(b));
-  }
-  add_u("cwnd_under", r.cwnd_hist.underflow());
-  add_u("cwnd_over", r.cwnd_hist.overflow());
-  add_u("timeouts", r.timeouts);
-  add_u("floss", r.floss_timeouts);
-  add_u("lack", r.lack_timeouts);
-  add_u("fastrtx", r.fast_retransmits);
-  add_u("tr_atmin", r.tracked_rounds_at_min_ece);
-  add_u("tr_to", r.tracked_rounds_with_timeout);
-  add_u("tr_floss", r.tracked_floss);
-  add_u("tr_lack", r.tracked_lack);
-  add_u("bn_drops", r.bottleneck_drops);
-  add_u("bn_marks", r.bottleneck_marks);
-  add_u("bn_maxq", static_cast<std::uint64_t>(r.bottleneck_max_queue));
-  add_d("fairness", r.flow_fairness);
-  add_u("events", r.events);
-  add_u("pkts_fwd", r.packets_forwarded);
-  add_d("sim_s", r.sim_seconds);
-  add_u("limit", r.hit_time_limit ? 1 : 0);
-  add_u("violations", r.invariant_violations);
-  add_u("originated", r.packets_originated);
-  add_u("dropped", r.packets_dropped);
-  add_u("duplicated", r.packets_duplicated);
-  add_u("checksum", r.checksum_discards);
-  return out;
-}
-
 /// Runs `base` at shards {1, 2, 4, 8} with deliberately mismatched pools
 /// (including none at all) — in adaptive channel-clock mode AND with the
-/// fixed-W oracle at shards {1, 4, 8} — and requires byte-identical
-/// summaries across the whole matrix. The ledger is part of Canonical(),
-/// so the NetworkInvariants merge is covered by the same comparison, and
-/// window counters are NOT part of it (they differ by design: that is
-/// the point of adaptive lookahead).
-void ExpectShardCountInvariant(IncastConfig base, const char* tag) {
+/// fixed-W oracle at shards {1, 4, 8} — and requires one fingerprint
+/// across the whole matrix. The merged ledger is part of the fingerprint,
+/// so the NetworkInvariants merge is covered by the same comparison;
+/// window counters are NOT part of it (they differ by design: that is the
+/// point of adaptive lookahead). Returns the matrix's fingerprint.
+std::uint64_t ExpectShardCountInvariant(FabricRunConfig base,
+                                        const char* tag) {
   ThreadPool small_pool(2);
   ThreadPool big_pool(7);
   struct Variant {
@@ -207,47 +160,52 @@ void ExpectShardCountInvariant(IncastConfig base, const char* tag) {
       {2, &big_pool, false},   // more helpers than shards
       {4, &small_pool, false},  // fewer helpers than shards
       {8, &big_pool, false},
-      {1, nullptr, true},      // PR-5 fixed-W oracle must agree byte-wise
+      {1, nullptr, true},      // fixed-W oracle must agree bit for bit
       {4, &small_pool, true},
       {8, &big_pool, true},
   };
-  std::string reference;
+  std::uint64_t reference = 0;
   int reference_shards = 0;
   for (const Variant& v : variants) {
     base.shards = v.shards;
     base.shard_pool = v.pool;
     base.fixed_window_lookahead = v.fixed_window;
-    const IncastResult r = RunIncast(base);
+    const FabricRunResult r = RunFabricWorkload(base);
     EXPECT_EQ(r.invariant_violations, 0u)
         << tag << " shards=" << v.shards << " fixed=" << v.fixed_window;
-    EXPECT_GT(r.rounds_completed, 0u)
+    EXPECT_EQ(r.flows_completed, r.flows)
         << tag << " shards=" << v.shards << " fixed=" << v.fixed_window;
-    const std::string canon = Canonical(r);
-    if (reference.empty()) {
-      reference = canon;
+    const std::uint64_t fp = Fingerprint(r);
+    if (reference_shards == 0) {
+      reference = fp;
       reference_shards = v.shards;
     } else {
-      EXPECT_EQ(canon, reference)
+      EXPECT_EQ(fp, reference)
           << tag << ": shards=" << v.shards << " fixed=" << v.fixed_window
           << " diverged from shards=" << reference_shards;
     }
   }
+  return reference;
 }
 
-IncastConfig BaseConfig(Protocol protocol, std::uint64_t seed) {
-  IncastConfig config;
+/// The paper's fan-in tiled over a k = 4 fat-tree: two rows of 8 hosts,
+/// each aggregating one 12 KiB flow from each of 7 senders.
+FabricRunConfig BaseConfig(Protocol protocol, std::uint64_t seed) {
+  FabricRunConfig config;
+  config.topo = FabricRunConfig::Topo::kFatTree;
+  config.fat_tree.k = 4;
+  config.pattern = TrafficPattern::kIncastRows;
+  config.row_size = 8;
+  config.fan_in = 7;
+  config.bytes_per_flow = 12 * kKiB;
   config.protocol = protocol;
-  config.num_flows = 48;
-  config.num_workers = 9;
-  config.per_flow_bytes = 8 * 1024;
-  config.rounds = 4;
   config.min_rto = 10 * kMillisecond;
   config.seed = seed;
   return config;
 }
 
 TEST(ShardDeterminismTest, CleanDctcpPlus) {
-  ExpectShardCountInvariant(BaseConfig(Protocol::kDctcpPlus, 1), "clean+");
+  ExpectShardCountInvariant(BaseConfig(Protocol::kDctcpPlus, 7), "clean+");
 }
 
 TEST(ShardDeterminismTest, CleanDctcpOtherSeed) {
@@ -258,7 +216,7 @@ TEST(ShardDeterminismTest, ImpairedLinks) {
   // Full fault model in play: loss bursts, reordering, duplication,
   // corruption. Exercises impairment streams, the ledger's duplicated /
   // checksum columns, and retransmission paths across shard boundaries.
-  IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 7);
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 7);
   config.link.impairment.random_loss = 0.005;
   config.link.impairment.ge_p_good_to_bad = 0.002;
   config.link.impairment.ge_p_bad_to_good = 0.3;
@@ -272,11 +230,11 @@ TEST(ShardDeterminismTest, ImpairedLinks) {
 }
 
 TEST(ShardDeterminismTest, BurstLossReorderAndFlaps) {
-  // The full PR-4 impairment battery plus deterministic link flaps: flaps
-  // down a link mid-round, stranding packets and forcing RTO recovery —
-  // the slowest, most window-sparse phase the adaptive lookahead has to
+  // Burst loss and reordering plus deterministic link flaps: flaps down a
+  // link mid-transfer, stranding packets and forcing RTO recovery — the
+  // slowest, most window-sparse phase the adaptive lookahead has to
   // chunk identically to the oracle.
-  IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 13);
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 7);
   config.link.impairment.ge_p_good_to_bad = 0.002;
   config.link.impairment.ge_p_bad_to_good = 0.3;
   config.link.impairment.ge_loss_bad = 0.8;
@@ -291,19 +249,18 @@ TEST(ShardDeterminismTest, BurstLossReorderAndFlaps) {
 }
 
 TEST(ChannelClockTest, AdaptiveWindowsAreFarFewerThanFixed) {
-  // The reason the tentpole exists: on the same run the channel-clock
-  // engine must reach the same bytes with far fewer barriers than the
-  // fixed-W oracle. (The >= 5x acceptance gate lives in parallel_scale on
-  // the big N=1400 point; this guards the mechanism at test size.)
+  // On the same run the channel-clock engine must reach the same bytes
+  // with far fewer barriers than the fixed-W oracle. (fabric_scale gates
+  // >= 5x on the k = 16 matrix; this guards the mechanism at test size.)
   ThreadPool pool(4);
-  IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 21);
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 21);
   config.shards = 4;
   config.shard_pool = &pool;
   config.fixed_window_lookahead = true;
-  const IncastResult fixed = RunIncast(config);
+  const FabricRunResult fixed = RunFabricWorkload(config);
   config.fixed_window_lookahead = false;
-  const IncastResult adaptive = RunIncast(config);
-  EXPECT_EQ(Canonical(adaptive), Canonical(fixed));
+  const FabricRunResult adaptive = RunFabricWorkload(config);
+  EXPECT_EQ(Fingerprint(adaptive), Fingerprint(fixed));
   ASSERT_GT(fixed.windows_run, 0u);
   ASSERT_GT(adaptive.windows_run, 0u);
   EXPECT_LT(adaptive.windows_run * 2, fixed.windows_run)
@@ -321,8 +278,8 @@ TEST(ChannelClockTest, AdaptiveWindowsAreFarFewerThanFixed) {
   // chosen by the coordinator from simulation state only, so a pool-free
   // run of the same config must report the identical count.
   config.shard_pool = nullptr;
-  const IncastResult serial = RunIncast(config);
-  EXPECT_EQ(Canonical(serial), Canonical(adaptive));
+  const FabricRunResult serial = RunFabricWorkload(config);
+  EXPECT_EQ(Fingerprint(serial), Fingerprint(adaptive));
   EXPECT_EQ(serial.windows_run, adaptive.windows_run);
   EXPECT_EQ(serial.sync_rounds, adaptive.sync_rounds);
 }
@@ -330,12 +287,12 @@ TEST(ChannelClockTest, AdaptiveWindowsAreFarFewerThanFixed) {
 TEST(ChannelClockTest, ClocksNeverRegress) {
   // Property: per-shard channel clocks are monotone across windows. The
   // engine checks every barrier (lookahead_regressions folds into
-  // invariant_violations), so driving the nastiest impaired configs at
+  // invariant_violations), so driving an impaired, flapping config at
   // several shard counts and asserting zero violations exercises the
-  // property over hundreds of thousands of windows.
+  // property over every window of the run.
   for (const int shards : {2, 4, 8}) {
     ThreadPool pool(3);
-    IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 29);
+    FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 29);
     config.link.impairment.random_loss = 0.005;
     config.link.impairment.reorder_prob = 0.01;
     config.link.impairment.reorder_delay_min = 20 * kMicrosecond;
@@ -344,44 +301,51 @@ TEST(ChannelClockTest, ClocksNeverRegress) {
         {5 * kMillisecond, 7 * kMillisecond});
     config.shards = shards;
     config.shard_pool = &pool;
-    const IncastResult r = RunIncast(config);
+    const FabricRunResult r = RunFabricWorkload(config);
     EXPECT_EQ(r.invariant_violations, 0u) << "shards=" << shards;
-    EXPECT_GT(r.rounds_completed, 0u) << "shards=" << shards;
+    EXPECT_EQ(r.flows_completed, r.flows) << "shards=" << shards;
   }
 }
 
 TEST(ShardDeterminismTest, RedMarkingAndStagger) {
-  // RED draws randomness per mark decision — in sharded mode from the
-  // port's private stream — and the stagger spreads the round's requests.
-  IncastConfig config = BaseConfig(Protocol::kTcp, 3);
+  // RED draws randomness per mark decision, in sharded mode from the
+  // port's private stream; the stagger spreads the fan-in's starts. The
+  // thresholds sit below the rows' standing queue so RED actually marks:
+  // the RED run must differ from the same run under instantaneous-K.
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 3);
+  config.start_stagger = 20 * kMicrosecond;
+  config.link.red_config.min_th = 2 * 1024;
+  config.link.red_config.max_th = 16 * 1024;
+  config.link.red_config.max_p = 0.5;
+  config.link.red_config.weight = 0.1;
+  const std::uint64_t instant_k = Fingerprint(RunFabricWorkload(config));
   config.link.red = true;
-  config.request_stagger = 20 * kMicrosecond;
-  ExpectShardCountInvariant(config, "red");
+  EXPECT_NE(ExpectShardCountInvariant(config, "red"), instant_k);
 }
 
 TEST(ShardDeterminismTest, RepeatedRunIsBitIdentical) {
   // Same config, same shard count, same pool: the engine must also be
   // deterministic against itself (thread scheduling must not leak in).
   ThreadPool pool(4);
-  IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 11);
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 11);
   config.shards = 4;
   config.shard_pool = &pool;
-  const std::string a = Canonical(RunIncast(config));
-  const std::string b = Canonical(RunIncast(config));
+  const std::uint64_t a = Fingerprint(RunFabricWorkload(config));
+  const std::uint64_t b = Fingerprint(RunFabricWorkload(config));
   EXPECT_EQ(a, b);
 }
 
 TEST(ShardedIncastTest, ProducesSaneResults) {
   ThreadPool pool(4);
-  IncastConfig config = BaseConfig(Protocol::kDctcpPlus, 5);
-  config.rounds = 6;
+  FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 5);
   config.shards = 4;
   config.shard_pool = &pool;
-  const IncastResult r = RunIncast(config);
-  EXPECT_EQ(r.rounds_completed, 6u);
+  const FabricRunResult r = RunFabricWorkload(config);
+  EXPECT_EQ(r.flows, 14);
+  EXPECT_EQ(r.flows_completed, r.flows);
   EXPECT_FALSE(r.hit_time_limit);
+  EXPECT_EQ(r.bytes_delivered, r.flows * config.bytes_per_flow);
   EXPECT_GT(r.goodput_mbps, 0.0);
-  EXPECT_GT(r.flow_fairness, 0.5);
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_GT(r.packets_forwarded, 0u);
   EXPECT_GT(r.events, 0u);
