@@ -10,10 +10,12 @@
 //    invocation checkpoints to a file and exits (the "kill"), a second
 //    invocation restores from that file, resumes, and gates the final
 //    fingerprint against an uninterrupted in-process reference.
-//  - Bounded footprint: MeasureFootprint's bytes-per-flow (socket pools +
-//    timer-wheel node pools + arenas over peak live flows) is gated, so a
-//    per-flow allocation regression fails the soak rather than an OOM
-//    three hours into a nightly run.
+//  - Bounded footprint: MeasureFootprint's bytes-per-flow (materialized
+//    socket slots + timer-wheel node pools + arenas over peak live flows)
+//    is gated, so a per-flow allocation regression fails the soak rather
+//    than an OOM three hours into a nightly run. The JSON also records the
+//    process's peak RSS (getrusage), which covers what the footprint
+//    leaves out: per-socket heap, the fabric, and checkpoint blobs.
 //  - Zero invariant violations, and peak live >= 80% of the target (the
 //    soak actually reached the concurrency it claims to test).
 //
@@ -36,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "dctcpp/util/flight_recorder.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/churn.h"
@@ -46,6 +50,12 @@ namespace {
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+double PeakRssMib() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 // --- checkpoint matrix --------------------------------------------------
@@ -446,7 +456,8 @@ int Main(int argc, char** argv) {
       stderr,
       "soak [%s]: peak_live=%lld started=%llu completed=%llu "
       "dropped=%llu+%llu violations=%llu wall=%.1fs "
-      "(%.2fM events/s) bytes/flow=%.0f ckpt=%zuB restore=%s\n",
+      "(%.2fM events/s) bytes/flow=%.0f peak_rss=%.1fMiB ckpt=%zuB "
+      "restore=%s\n",
       scale.name, static_cast<long long>(st.peak_live),
       static_cast<unsigned long long>(st.flows_started),
       static_cast<unsigned long long>(st.flows_completed),
@@ -454,7 +465,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(st.accepts_dropped),
       static_cast<unsigned long long>(st.violations), soak.wall_s,
       static_cast<double>(st.events_executed) / soak.wall_s / 1e6,
-      soak.footprint.bytes_per_flow, soak.blob_bytes,
+      soak.footprint.bytes_per_flow, PeakRssMib(), soak.blob_bytes,
       soak.restore_identical ? "bit-identical" : "DIVERGED");
 
   if (out_path != nullptr) {
@@ -490,11 +501,14 @@ int Main(int argc, char** argv) {
                  static_cast<double>(st.events_executed) / soak.wall_s);
     std::fprintf(out, "  \"checkpoint_bytes\": %zu,\n", soak.blob_bytes);
     std::fprintf(out,
-                 "  \"footprint\": {\"pool_bytes\": %zu, "
+                 "  \"footprint\": {\"materialized_slots\": %zu, "
+                 "\"pool_bytes\": %zu, "
                  "\"scheduler_bytes\": %zu, \"arena_bytes\": %zu, "
-                 "\"bytes_per_flow\": %.1f, \"limit\": %.0f},\n",
-                 soak.footprint.pool_bytes, soak.footprint.scheduler_bytes,
-                 soak.footprint.arena_bytes, soak.footprint.bytes_per_flow,
+                 "\"bytes_per_flow\": %.1f, \"peak_rss_mib\": %.1f, "
+                 "\"limit\": %.0f},\n",
+                 soak.footprint.materialized_slots, soak.footprint.pool_bytes,
+                 soak.footprint.scheduler_bytes, soak.footprint.arena_bytes,
+                 soak.footprint.bytes_per_flow, PeakRssMib(),
                  scale.bytes_per_flow_limit);
     std::fprintf(out, "  \"checkpoint_matrix_identical\": %s,\n",
                  matrix_ok ? "true" : "false");

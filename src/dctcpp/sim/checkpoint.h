@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "dctcpp/util/assert.h"
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/time.h"
 
 namespace dctcpp {
@@ -44,6 +45,11 @@ struct Packet;
 /// Fixed-width little-endian append-only buffer. Section tags are written
 /// by convention before each component's fields so a drifted reader fails
 /// loudly at the drift point instead of misparsing everything after it.
+///
+/// A writer made by HashOnly() buffers nothing: it folds every byte into
+/// FNV-1a as it is written, so hash() equals FnvBytes(kFnvOffset, blob)
+/// of a buffering writer fed the same calls — a state fingerprint without
+/// materializing the blob.
 class CheckpointWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
@@ -51,7 +57,19 @@ class CheckpointWriter {
   /// other version.
   static constexpr std::uint32_t kVersion = 2;
 
-  void U8(std::uint8_t v) { buf_.push_back(v); }
+  static CheckpointWriter HashOnly() {
+    CheckpointWriter w;
+    w.hash_only_ = true;
+    return w;
+  }
+
+  void U8(std::uint8_t v) {
+    if (hash_only_) {
+      hash_ = FnvBytes(hash_, &v, 1);
+    } else {
+      buf_.push_back(v);
+    }
+  }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v) { Raw(&v, sizeof v); }
   void U64(std::uint64_t v) { Raw(&v, sizeof v); }
@@ -64,16 +82,33 @@ class CheckpointWriter {
   /// Section tag: a 4-byte marker the reader must match exactly.
   void Tag(std::uint32_t tag) { U32(tag); }
 
-  const std::vector<std::uint8_t>& blob() const { return buf_; }
-  std::vector<std::uint8_t> TakeBlob() { return std::move(buf_); }
+  const std::vector<std::uint8_t>& blob() const {
+    DCTCPP_ASSERT(!hash_only_);
+    return buf_;
+  }
+  std::vector<std::uint8_t> TakeBlob() {
+    DCTCPP_ASSERT(!hash_only_);
+    return std::move(buf_);
+  }
+  /// FNV-1a over every byte written (HashOnly writers only).
+  std::uint64_t hash() const {
+    DCTCPP_ASSERT(hash_only_);
+    return hash_;
+  }
 
  private:
   void Raw(const void* p, std::size_t n) {
+    if (hash_only_) {
+      hash_ = FnvBytes(hash_, p, n);
+      return;
+    }
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
 
   std::vector<std::uint8_t> buf_;
+  bool hash_only_ = false;
+  std::uint64_t hash_ = kFnvOffset;
 };
 
 /// Reader over a checkpoint blob. Out-of-bounds reads and tag mismatches

@@ -2,12 +2,12 @@
 //
 // `InlineAction` replaces `std::function<void()>` on the event hot path.
 // The common captures in the simulator — `[this]` continuations in
-// net/link.cc and net/queue.cc, the RTO/pacing/delayed-ACK timer lambdas in
-// tcp/socket.cc — are a pointer or two, so they fit the 48-byte inline
-// buffer and scheduling them performs no heap allocation. Larger callables
-// transparently fall back to a heap box. The type is move-only (events are
-// scheduled exactly once) but may be *invoked* repeatedly, which Timer
-// relies on for its long-lived callback.
+// net/link.cc and net/queue.cc — are a pointer or two, so they fit the
+// 48-byte inline buffer and scheduling them performs no heap allocation.
+// Larger callables transparently fall back to a heap box. The type is
+// move-only (events are scheduled exactly once) but may be *invoked*
+// repeatedly. Timer callbacks, stored once per timer for its whole life,
+// use the smaller InlineHandler instead (sim/timer.h).
 #pragma once
 
 #include <cstddef>

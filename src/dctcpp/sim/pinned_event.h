@@ -43,6 +43,9 @@ class PinnedEvent {
 
   bool armed() const { return sim_.scheduler().PinnedArmed(idx_); }
 
+  /// The Simulator this event is pinned in.
+  Simulator& sim() const { return sim_; }
+
   // Checkpoint/restore: the pending arming's exact (at, seq), and re-arming
   // with a saved seq so restored pop order matches the saved run.
   void Arming(Tick* at, std::uint64_t* seq) const {

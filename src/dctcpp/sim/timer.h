@@ -17,26 +17,31 @@
 // 5.3) therefore touches the wheel once per expiry window, not once per
 // ACK — the callback still runs exactly at the most recent deadline,
 // never early and never late.
+//
+// Size budget: a Timer is 72 bytes, and every TcpSocket embeds three (RTO,
+// delayed ACK, pacing), so this is per-flow memory in the massive-
+// concurrent-flow regime. The callback is an InlineHandler<void()>: at
+// most 24 bytes of capture, trivially copyable, never boxed — a `[this]`
+// or a few raw pointers and ids (the churn departure timer captures
+// `[w, host, idx]`). Larger or owning captures are a compile error; put
+// that state in the object the captured pointer refers to. The Simulator
+// is reached through the pinned event, not stored twice.
 #pragma once
 
-#include <utility>
-
 #include "dctcpp/sim/checkpoint.h"
-#include "dctcpp/sim/inline_action.h"
 #include "dctcpp/sim/pinned_event.h"
 #include "dctcpp/sim/simulator.h"
+#include "dctcpp/util/inline_function.h"
 
 namespace dctcpp {
 
 class Timer {
  public:
-  /// Move-only, small-buffer-optimized: the usual `[this]`-capturing
-  /// callbacks are stored without any heap allocation.
-  using Callback = InlineAction;
+  /// Trivially copyable, <= 24 bytes of capture (see the header comment).
+  using Callback = InlineHandler<void()>;
 
   Timer(Simulator& sim, Callback cb)
-      : sim_(sim),
-        callback_(std::move(cb)),
+      : callback_(cb),
         ev_(sim, [](void* p) { static_cast<Timer*>(p)->Fire(); }, this) {}
 
   Timer(const Timer&) = delete;
@@ -57,7 +62,7 @@ class Timer {
   /// (lazily when the deadline only moves out — see the header comment).
   void Schedule(Tick delay) {
     armed_ = true;
-    expires_at_ = sim_.Now() + delay;
+    expires_at_ = ev_.sim().Now() + delay;
     if (event_pending_ && event_at_ <= expires_at_) return;  // Fire() defers
     event_pending_ = true;
     event_at_ = expires_at_;
@@ -109,7 +114,7 @@ class Timer {
   void Fire() {
     event_pending_ = false;
     if (!armed_) return;
-    if (sim_.Now() < expires_at_) {
+    if (ev_.sim().Now() < expires_at_) {
       // Stale pop from a lazy re-arm: home at the true deadline.
       event_pending_ = true;
       event_at_ = expires_at_;
@@ -120,7 +125,6 @@ class Timer {
     callback_();
   }
 
-  Simulator& sim_;
   Callback callback_;
   bool armed_ = false;
   bool lazy_cancel_ = false;
@@ -129,5 +133,8 @@ class Timer {
   Tick event_at_ = 0;  ///< where the pending arming actually sits
   PinnedEvent ev_;     ///< last member: released before callback_ dies
 };
+
+static_assert(sizeof(Timer) <= 72,
+              "Timer is per-flow memory (three per TcpSocket); keep it small");
 
 }  // namespace dctcpp

@@ -94,15 +94,13 @@ ChurnWorkload::ChurnWorkload(const ChurnConfig& config) : config_(config) {
     hosts_.push_back(std::make_unique<HostChurn>(
         this, static_cast<std::uint32_t>(h), host));
     HostChurn& hc = *hosts_.back();
-    for (int i = 0; i < pool_capacity_; ++i) {
-      hc.client.emplace_back(this, static_cast<std::uint32_t>(h),
-                             static_cast<std::uint32_t>(i), host.sim());
-      hc.server.emplace_back();
-    }
+    hc.client.resize(static_cast<std::size_t>(pool_capacity_));
+    hc.server.resize(static_cast<std::size_t>(pool_capacity_));
     hc.client_free.reserve(static_cast<std::size_t>(pool_capacity_));
     hc.server_free.reserve(static_cast<std::size_t>(pool_capacity_));
-    // Retired lists are bounded by pool capacity; reserving up front keeps
-    // the steady-state footprint exactly flat (the no-growth gate).
+    // Retired lists are bounded by pool capacity; reserving up front means
+    // only slots, never lists, grow after construction (the no-growth
+    // gate).
     hc.client_retired.reserve(static_cast<std::size_t>(pool_capacity_));
     hc.server_retired.reserve(static_cast<std::size_t>(pool_capacity_));
     for (int i = pool_capacity_ - 1; i >= 0; --i) {
@@ -171,13 +169,12 @@ void ChurnWorkload::OnArrival(std::uint32_t h) {
   } else {
     const std::uint32_t idx = hc.client_free.back();
     hc.client_free.pop_back();
-    ClientSlot& slot = hc.client[idx];
-    TcpSocket* sock =
-        new (slot.storage) TcpSocket(*hc.host, MakeCc(), socket_config_);
-    slot.constructed = true;
-    sock->set_on_closed([this, h, idx] { RetireClient(h, idx); });
-    sock->Connect(fabric_->host(dst).id(), kChurnPort);
-    sock->Send(config_.bytes_per_flow);
+    ClientSlot& slot = MaterializeClient(hc, idx);
+    TcpSocket& sock =
+        slot.socket.emplace(*hc.host, MakeCc(), socket_config_);
+    sock.set_on_closed([this, h, idx] { RetireClient(h, idx); });
+    sock.Connect(fabric_->host(dst).id(), kChurnPort);
+    sock.Send(config_.bytes_per_flow);
     slot.departure.Schedule(lifetime);
     ++hc.started;
     ++hc.live_clients;
@@ -186,9 +183,9 @@ void ChurnWorkload::OnArrival(std::uint32_t h) {
 }
 
 void ChurnWorkload::OnDeparture(std::uint32_t h, std::uint32_t idx) {
-  ClientSlot& slot = hosts_[h]->client[idx];
-  DCTCPP_ASSERT(slot.constructed);
-  slot.socket()->Close();
+  ClientSlot& slot = *hosts_[h]->client[idx];
+  DCTCPP_ASSERT(slot.socket.has_value());
+  slot.socket->Close();
 }
 
 void ChurnWorkload::RetireClient(std::uint32_t h, std::uint32_t idx) {
@@ -196,7 +193,7 @@ void ChurnWorkload::RetireClient(std::uint32_t h, std::uint32_t idx) {
   // The departure timer normally initiated this close (already fired);
   // Cancel is then a no-op. An eager cancel here keeps the slot safe for
   // reuse in every path.
-  hc.client[idx].departure.Cancel();
+  hc.client[idx]->departure.Cancel();
   hc.client_retired.push_back(idx);
   ++hc.completed;
   --hc.live_clients;
@@ -219,12 +216,10 @@ void ChurnWorkload::OnListenPacket(std::uint32_t h, const Packet& pkt) {
   }
   const std::uint32_t idx = hc.server_free.back();
   hc.server_free.pop_back();
-  ServerSlot& slot = hc.server[idx];
-  TcpSocket* sock =
-      new (slot.storage) TcpSocket(*hc.host, MakeCc(), socket_config_);
-  slot.constructed = true;
-  AttachServerCallbacks(*sock, h, idx);
-  ChurnListener::Accept(*sock, pkt);
+  TcpSocket& sock = MaterializeServer(hc, idx).socket.emplace(
+      *hc.host, MakeCc(), socket_config_);
+  AttachServerCallbacks(sock, h, idx);
+  ChurnListener::Accept(sock, pkt);
   ++hc.live_servers;
 }
 
@@ -232,25 +227,38 @@ void ChurnWorkload::AttachServerCallbacks(TcpSocket& s, std::uint32_t h,
                                           std::uint32_t idx) {
   s.set_on_data([this, h](Bytes n) { hosts_[h]->bytes_received += n; });
   s.set_on_remote_close(
-      [this, h, idx] { hosts_[h]->server[idx].socket()->Close(); });
+      [this, h, idx] { hosts_[h]->server[idx]->socket->Close(); });
   s.set_on_closed([this, h, idx] { RetireServer(h, idx); });
 }
 
 void ChurnWorkload::DrainRetired(HostChurn& hc) {
   for (std::uint32_t idx : hc.client_retired) {
-    ClientSlot& slot = hc.client[idx];
-    slot.socket()->~TcpSocket();
-    slot.constructed = false;
+    hc.client[idx]->socket.reset();
     hc.client_free.push_back(idx);
   }
   hc.client_retired.clear();
   for (std::uint32_t idx : hc.server_retired) {
-    ServerSlot& slot = hc.server[idx];
-    slot.socket()->~TcpSocket();
-    slot.constructed = false;
+    hc.server[idx]->socket.reset();
     hc.server_free.push_back(idx);
   }
   hc.server_retired.clear();
+}
+
+ChurnWorkload::ClientSlot& ChurnWorkload::MaterializeClient(
+    HostChurn& hc, std::uint32_t idx) {
+  std::unique_ptr<ClientSlot>& slot = hc.client[idx];
+  if (!slot) {
+    slot = std::make_unique<ClientSlot>(this, hc.index, idx,
+                                        hc.host->sim());
+  }
+  return *slot;
+}
+
+ChurnWorkload::ServerSlot& ChurnWorkload::MaterializeServer(
+    HostChurn& hc, std::uint32_t idx) {
+  std::unique_ptr<ServerSlot>& slot = hc.server[idx];
+  if (!slot) slot = std::make_unique<ServerSlot>();
+  return *slot;
 }
 
 std::int64_t ChurnWorkload::live_flows() const {
@@ -292,10 +300,20 @@ std::uint64_t Fingerprint(const ChurnStats& s) {
 }
 
 ChurnFootprint ChurnWorkload::MeasureFootprint() {
+  const auto allocated = [](const auto& slots) {
+    return static_cast<std::size_t>(
+        std::count_if(slots.begin(), slots.end(),
+                      [](const auto& slot) { return slot != nullptr; }));
+  };
   ChurnFootprint f;
   for (const auto& hc : hosts_) {
-    f.pool_bytes += hc->client.size() * sizeof(ClientSlot) +
-                    hc->server.size() * sizeof(ServerSlot);
+    const std::size_t clients = allocated(hc->client);
+    const std::size_t servers = allocated(hc->server);
+    f.materialized_slots += clients + servers;
+    f.pool_bytes += clients * sizeof(ClientSlot) +
+                    servers * sizeof(ServerSlot);
+    f.pool_bytes += (hc->client.capacity() + hc->server.capacity()) *
+                    sizeof(void*);
     f.pool_bytes += (hc->client_free.capacity() +
                      hc->client_retired.capacity() +
                      hc->server_free.capacity() +
@@ -315,8 +333,19 @@ ChurnFootprint ChurnWorkload::MeasureFootprint() {
 }
 
 std::vector<std::uint8_t> ChurnWorkload::SaveCheckpoint() const {
-  DCTCPP_ASSERT(started_);
   CheckpointWriter w;
+  WriteCheckpoint(w);
+  return w.TakeBlob();
+}
+
+std::uint64_t ChurnWorkload::Fingerprint() const {
+  CheckpointWriter w = CheckpointWriter::HashOnly();
+  WriteCheckpoint(w);
+  return w.hash();
+}
+
+void ChurnWorkload::WriteCheckpoint(CheckpointWriter& w) const {
+  DCTCPP_ASSERT(started_);
   w.U32(CheckpointWriter::kMagic);
   w.U32(CheckpointWriter::kVersion);
   w.Tag(kTagChurnWorld);
@@ -330,7 +359,6 @@ std::vector<std::uint8_t> ChurnWorkload::SaveCheckpoint() const {
   w.U64(static_cast<std::uint64_t>(pool_capacity_));
   w.I64(peak_live_);
   psim_->SaveCheckpoint(w, this);
-  return w.TakeBlob();
 }
 
 void ChurnWorkload::RestoreCheckpoint(
@@ -351,11 +379,6 @@ void ChurnWorkload::RestoreCheckpoint(
   psim_->RestoreCheckpoint(r, this);
   DCTCPP_ASSERT(r.AtEnd());
   started_ = true;
-}
-
-std::uint64_t ChurnWorkload::Fingerprint() const {
-  const std::vector<std::uint8_t> blob = SaveCheckpoint();
-  return FnvBytes(kFnvOffset, blob.data(), blob.size());
 }
 
 void ChurnWorkload::SaveWorkload(CheckpointWriter& w, int shard) const {
@@ -403,17 +426,19 @@ void ChurnWorkload::SaveWorkload(CheckpointWriter& w, int shard) const {
     // ACK timer can leave a stale wheel arming whose eventual no-op pop is
     // part of the event sequence.
     w.U64(hc.client.size());
-    for (const ClientSlot& slot : hc.client) {
-      w.Bool(slot.constructed);
-      if (slot.constructed) {
-        slot.socket()->SaveState(w);
-        slot.departure.SaveState(w);
+    for (const auto& slot : hc.client) {
+      const bool live = slot && slot->socket;
+      w.Bool(live);
+      if (live) {
+        slot->socket->SaveState(w);
+        slot->departure.SaveState(w);
       }
     }
     w.U64(hc.server.size());
-    for (const ServerSlot& slot : hc.server) {
-      w.Bool(slot.constructed);
-      if (slot.constructed) slot.socket()->SaveState(w);
+    for (const auto& slot : hc.server) {
+      const bool live = slot && slot->socket;
+      w.Bool(live);
+      if (live) slot->socket->SaveState(w);
     }
   }
 }
@@ -456,30 +481,26 @@ void ChurnWorkload::RestoreWorkload(CheckpointReader& r, int shard) {
     ReadIndexList(r, hc.server_retired);
 
     DCTCPP_ASSERT(r.U64() == hc.client.size());
-    for (std::size_t i = 0; i < hc.client.size(); ++i) {
+    for (std::uint32_t idx = 0; idx < hc.client.size(); ++idx) {
       if (!r.Bool()) continue;
-      ClientSlot& slot = hc.client[i];
-      DCTCPP_ASSERT(!slot.constructed);
-      TcpSocket* sock =
-          new (slot.storage) TcpSocket(*hc.host, MakeCc(), socket_config_);
-      slot.constructed = true;
+      ClientSlot& slot = MaterializeClient(hc, idx);
+      DCTCPP_ASSERT(!slot.socket);
+      TcpSocket& sock =
+          slot.socket.emplace(*hc.host, MakeCc(), socket_config_);
       const std::uint32_t h = hc.index;
-      const std::uint32_t idx = static_cast<std::uint32_t>(i);
-      sock->set_on_closed([this, h, idx] { RetireClient(h, idx); });
-      sock->LoadState(r);
+      sock.set_on_closed([this, h, idx] { RetireClient(h, idx); });
+      sock.LoadState(r);
       slot.departure.LoadState(r);
     }
     DCTCPP_ASSERT(r.U64() == hc.server.size());
-    for (std::size_t i = 0; i < hc.server.size(); ++i) {
+    for (std::uint32_t idx = 0; idx < hc.server.size(); ++idx) {
       if (!r.Bool()) continue;
-      ServerSlot& slot = hc.server[i];
-      DCTCPP_ASSERT(!slot.constructed);
-      TcpSocket* sock =
-          new (slot.storage) TcpSocket(*hc.host, MakeCc(), socket_config_);
-      slot.constructed = true;
-      AttachServerCallbacks(*sock, hc.index,
-                            static_cast<std::uint32_t>(i));
-      sock->LoadState(r);
+      ServerSlot& slot = MaterializeServer(hc, idx);
+      DCTCPP_ASSERT(!slot.socket);
+      TcpSocket& sock =
+          slot.socket.emplace(*hc.host, MakeCc(), socket_config_);
+      AttachServerCallbacks(sock, hc.index, idx);
+      sock.LoadState(r);
     }
   }
   DCTCPP_ASSERT(seen == count);

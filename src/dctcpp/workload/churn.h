@@ -10,10 +10,13 @@
 //
 // Design constraints the implementation is built around:
 //
-//  - Bounded memory. Sockets live in fixed per-host pools (placement-new
-//    into preallocated slots; never heap-allocated per flow), so the
-//    bytes-per-flow footprint is measurable and gated (`MeasureFootprint`).
-//    A full pool drops the arrival (counted) rather than growing.
+//  - Memory follows live flows. Each host has a fixed-capacity pool of
+//    client and server slots; a slot is allocated the first time its
+//    free-list index is handed out and then kept for the world's life, so
+//    a pool holds as many slots as the host's peak occupancy, never one
+//    allocation per flow. The bytes-per-flow footprint is measurable and
+//    gated (`MeasureFootprint`). A full pool drops the arrival (counted)
+//    rather than growing.
 //
 //  - Deterministic recycling. A closed socket cannot be destroyed from
 //    inside its own completion callback, so slots retire to a list that
@@ -27,8 +30,11 @@
 //    *order* (allocation order is program-visible). `SaveCheckpoint`
 //    captures the whole world -- workload plus engine via
 //    ParallelSimulation::SaveCheckpoint -- into one versioned blob, and
-//    `Fingerprint` hashes that blob: two worlds fingerprint equal iff
-//    their serialized states are bit-identical.
+//    `Fingerprint` streams the same bytes through FNV-1a without
+//    buffering them: two worlds fingerprint equal iff their serialized
+//    states are bit-identical. Whether a slot has been allocated is not
+//    state: a slot that holds no socket serializes the same either way,
+//    and a restored world allocates only the slots holding one.
 //
 // Checkpoint/restore protocol (mirrors sim/checkpoint.h): save only at a
 // `RunTo` return; restore onto a freshly constructed, *not started*
@@ -38,8 +44,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dctcpp/core/protocol.h"
@@ -113,8 +119,14 @@ struct ChurnStats {
 std::uint64_t Fingerprint(const ChurnStats& s);
 
 /// Pool + engine memory attributable to sustaining the flow population.
+/// Not counted: heap a live socket owns outside its slot -- its
+/// CongestionOps object and the SACK IntervalSet / receive-buffer
+/// vectors -- and the fabric itself (hosts, switches, ports, routes).
 struct ChurnFootprint {
-  std::size_t pool_bytes = 0;       ///< slot pools + free/retired lists
+  std::size_t materialized_slots = 0;  ///< client + server slots allocated
+  /// Allocated slots, the per-host slot pointer tables, and the
+  /// free/retired lists.
+  std::size_t pool_bytes = 0;
   std::size_t scheduler_bytes = 0;  ///< timer-wheel node pools
   std::size_t arena_bytes = 0;      ///< per-shard arena reservations
   std::int64_t peak_live = 0;
@@ -123,7 +135,7 @@ struct ChurnFootprint {
 
 /// Grants the churn workload access to TcpSocket's passive-open entry
 /// (AcceptFrom) without routing accepted sockets through the arena-owning
-/// TcpListener: churn servers are placement-new'd into pooled slots.
+/// TcpListener: churn servers are constructed in place in pooled slots.
 class ChurnListener {
  public:
   static void Accept(TcpSocket& socket, const Packet& syn);
@@ -153,7 +165,8 @@ class ChurnWorkload final : public CheckpointHooks {
   /// never-started world. The config must match the saving run's.
   void RestoreCheckpoint(const std::vector<std::uint8_t>& blob);
 
-  /// FNV-1a over the SaveCheckpoint blob: bit-identical state <=> equal.
+  /// FNV-1a over the SaveCheckpoint blob, computed as the bytes are
+  /// written (no blob is built): bit-identical state <=> equal.
   std::uint64_t Fingerprint() const;
 
   ChurnStats Stats() const;
@@ -171,41 +184,19 @@ class ChurnWorkload final : public CheckpointHooks {
  private:
   struct HostChurn;
 
+  // A slot's socket is engaged while it carries a flow (live, or closed
+  // and awaiting DrainRetired); the slot itself outlives many flows.
   struct ClientSlot {
     ClientSlot(ChurnWorkload* w, std::uint32_t host, std::uint32_t idx,
                Simulator& sim)
         : departure(sim, [w, host, idx] { w->OnDeparture(host, idx); }) {}
-    ~ClientSlot() {
-      if (constructed) socket()->~TcpSocket();
-    }
-    ClientSlot(const ClientSlot&) = delete;
-    ClientSlot& operator=(const ClientSlot&) = delete;
 
-    TcpSocket* socket() { return reinterpret_cast<TcpSocket*>(storage); }
-    const TcpSocket* socket() const {
-      return reinterpret_cast<const TcpSocket*>(storage);
-    }
-
-    alignas(TcpSocket) unsigned char storage[sizeof(TcpSocket)];
     Timer departure;  ///< fires the Exp(L) lifetime -> Close()
-    bool constructed = false;
+    std::optional<TcpSocket> socket;
   };
 
   struct ServerSlot {
-    ServerSlot() = default;
-    ~ServerSlot() {
-      if (constructed) socket()->~TcpSocket();
-    }
-    ServerSlot(const ServerSlot&) = delete;
-    ServerSlot& operator=(const ServerSlot&) = delete;
-
-    TcpSocket* socket() { return reinterpret_cast<TcpSocket*>(storage); }
-    const TcpSocket* socket() const {
-      return reinterpret_cast<const TcpSocket*>(storage);
-    }
-
-    alignas(TcpSocket) unsigned char storage[sizeof(TcpSocket)];
-    bool constructed = false;
+    std::optional<TcpSocket> socket;
   };
 
   /// All churn state for one host; touched only by that host's shard.
@@ -218,10 +209,11 @@ class ChurnWorkload final : public CheckpointHooks {
     Rng rng;              ///< per-host stream: dst, lifetime, inter-arrival
     PinnedEvent arrival;  ///< next Poisson arrival on this host
 
-    // Slots live in deques: constructed once in the ctor (fixed capacity),
-    // stable addresses, no per-flow allocation.
-    std::deque<ClientSlot> client;
-    std::deque<ServerSlot> server;
+    // pool_capacity_ entries each; an entry stays null until its index is
+    // first popped off a free list, then keeps its slot (stable address,
+    // no per-flow allocation) until the world is destroyed.
+    std::vector<std::unique_ptr<ClientSlot>> client;
+    std::vector<std::unique_ptr<ServerSlot>> server;
     // Free lists are LIFO stacks; retired lists hold closed sockets whose
     // destruction is deferred to the next churn event on this host. Both
     // orders are program-visible, so both are checkpointed verbatim.
@@ -248,6 +240,10 @@ class ChurnWorkload final : public CheckpointHooks {
   void RetireClient(std::uint32_t h, std::uint32_t idx);
   void RetireServer(std::uint32_t h, std::uint32_t idx);
   void DrainRetired(HostChurn& hc);
+  ClientSlot& MaterializeClient(HostChurn& hc, std::uint32_t idx);
+  ServerSlot& MaterializeServer(HostChurn& hc, std::uint32_t idx);
+  /// The SaveCheckpoint body; Fingerprint runs it with a HashOnly writer.
+  void WriteCheckpoint(CheckpointWriter& w) const;
   void AttachServerCallbacks(TcpSocket& s, std::uint32_t h,
                              std::uint32_t idx);
   double SteadyMean() const;  ///< steady-state inter-arrival mean (ticks)

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/churn.h"
@@ -137,6 +138,88 @@ TEST(CheckpointTest, ResumeMatchesWithThreadPools) {
                              EvenStops(6 * kMillisecond, 3), /*cut=*/1,
                              &pool);
   }
+}
+
+// A HashOnly writer folds exactly the bytes a buffering writer appends.
+TEST(CheckpointTest, HashOnlyWriterHashesTheBlobBytes) {
+  CheckpointWriter blob;
+  CheckpointWriter hash = CheckpointWriter::HashOnly();
+  for (CheckpointWriter* w : {&blob, &hash}) {
+    w->Tag(0x54455354);
+    w->U8(7);
+    w->Bool(true);
+    w->U32(0xdeadbeef);
+    w->U64(~0ull);
+    w->I64(-3);
+    w->F64(0.1);
+    w->Str("churn");
+  }
+  EXPECT_EQ(hash.hash(),
+            FnvBytes(kFnvOffset, blob.blob().data(), blob.blob().size()));
+}
+
+// Fingerprint streams the SaveCheckpoint bytes through FNV-1a without
+// building the blob, so it equals the hash of the blob at every barrier,
+// on the saving world and on a restored one.
+TEST(CheckpointTest, FingerprintEqualsHashOfSavedBlob) {
+  const ChurnConfig cfg = SmallConfig(2, Profile::kLossy);
+  const auto hash = [](const std::vector<std::uint8_t>& blob) {
+    return FnvBytes(kFnvOffset, blob.data(), blob.size());
+  };
+  ChurnWorkload w(cfg);
+  w.Start();
+  std::vector<std::uint8_t> blob;
+  for (Tick t : EvenStops(6 * kMillisecond, 3)) {
+    w.RunTo(t);
+    blob = w.SaveCheckpoint();
+    EXPECT_EQ(w.Fingerprint(), hash(blob)) << "t=" << t;
+  }
+
+  ChurnWorkload restored(cfg);
+  restored.RestoreCheckpoint(blob);
+  EXPECT_EQ(restored.Fingerprint(), hash(blob));
+  restored.RunTo(8 * kMillisecond);
+  EXPECT_EQ(restored.Fingerprint(), hash(restored.SaveCheckpoint()));
+}
+
+// soak_churn --smoke's world. A restored world allocates only the slots
+// that hold a socket, so it reports fewer materialized slots than its
+// saver, whose pools still hold the slots of its ramp-up peak. Slot
+// allocation is not state: the restored world re-serializes to the exact
+// saved blob and runs on bit-identically to the saver.
+TEST(CheckpointTest, RestoredWorldMaterializesOnlyOccupiedSlots) {
+  ChurnConfig cfg;
+  cfg.fat_tree.k = 4;
+  cfg.shards = 2;
+  cfg.target_live_flows = 2000;
+  cfg.mean_lifetime = 4 * kMillisecond;
+  cfg.prewarm = 2 * kMillisecond;
+  cfg.min_rto = 1 * kMillisecond;
+  cfg.seed = 1;
+  cfg.bytes_per_flow = 4 * kKiB;
+  cfg.link.impairment.random_loss = 0.0005;
+  cfg.max_live_per_host = (2000 / 16) * 8 / 5 + 16;
+  const std::vector<Tick> stops = EvenStops(12 * kMillisecond, 4);
+
+  ChurnWorkload saver(cfg);
+  saver.Start();
+  saver.RunTo(stops[0]);
+  saver.RunTo(stops[1]);
+  const std::vector<std::uint8_t> blob = saver.SaveCheckpoint();
+
+  ChurnWorkload restored(cfg);
+  restored.RestoreCheckpoint(blob);
+  EXPECT_LT(restored.MeasureFootprint().materialized_slots,
+            saver.MeasureFootprint().materialized_slots);
+  EXPECT_EQ(restored.SaveCheckpoint(), blob);
+
+  for (std::size_t i = 2; i < stops.size(); ++i) {
+    saver.RunTo(stops[i]);
+    restored.RunTo(stops[i]);
+    EXPECT_EQ(restored.Fingerprint(), saver.Fingerprint())
+        << "t=" << stops[i];
+  }
+  EXPECT_EQ(restored.Stats().violations, 0u);
 }
 
 // The version word follows the magic at the head of every blob. A blob

@@ -353,6 +353,40 @@ TEST(TimerTest, ExpiresAtReflectsArming) {
   EXPECT_EQ(t.expires_at(), 20);
 }
 
+// A callback using the whole 24-byte InlineHandler budget (three words;
+// the churn departure timer's [w, host, idx] takes 16) is stored inline
+// and fires exactly once, at expiry, with every captured word intact.
+TEST(TimerTest, FullInlineCaptureFiresOnceAtExpiry) {
+  struct Seen {
+    Simulator* sim = nullptr;
+    int fires = 0;
+    Tick at = -1;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+  };
+  Simulator sim;
+  Seen seen;
+  seen.sim = &sim;
+  Seen* out = &seen;
+  const std::uint64_t a = 0x0123456789abcdefull;
+  const std::uint64_t b = 0xfedcba9876543210ull;
+  auto cb = [out, a, b] {
+    ++out->fires;
+    out->at = out->sim->Now();
+    out->a = a;
+    out->b = b;
+  };
+  static_assert(sizeof(cb) == Timer::Callback::kInlineSize);
+  Timer t(sim, cb);
+  t.Schedule(100);
+  sim.Run();
+  EXPECT_EQ(seen.fires, 1);
+  EXPECT_EQ(seen.at, 100);
+  EXPECT_EQ(seen.a, a);
+  EXPECT_EQ(seen.b, b);
+  EXPECT_FALSE(t.IsPending());
+}
+
 TEST(TimerTest, DestructionCancelsPendingEvent) {
   Simulator sim;
   int fired = 0;

@@ -359,10 +359,13 @@ ChurnConfig SmallChurn(int shards) {
   return cfg;
 }
 
-// 10k churn cycles with zero resource growth: once the pools and engine
+// 10k churn cycles with no per-flow resource growth: once the engine
 // allocators reach steady state, completing thousands more flows must not
-// allocate another byte — sockets recycle through slots, ports and flow-
-// table entries release on close, and the arena high-water mark is flat.
+// allocate another byte there — sockets recycle through slots, ports and
+// flow-table entries release on close, and the arena high-water mark is
+// flat. Pool slots materialize on first use, so the pool still grows when
+// a host's occupancy reaches a new high, but only by whole slots: the slot
+// tables and free/retired lists never grow.
 TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
   ChurnWorkload w(SmallChurn(1));
   w.Start();
@@ -378,11 +381,22 @@ TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
   }
 
   const ChurnFootprint done = w.MeasureFootprint();
-  EXPECT_EQ(done.pool_bytes, warm.pool_bytes);
   EXPECT_EQ(done.scheduler_bytes, warm.scheduler_bytes);
   EXPECT_EQ(done.arena_bytes, warm.arena_bytes);
 
   const ChurnStats s = w.Stats();
+  ASSERT_GE(done.materialized_slots, warm.materialized_slots);
+  ASSERT_GE(done.pool_bytes, warm.pool_bytes);
+  const std::size_t new_slots =
+      done.materialized_slots - warm.materialized_slots;
+  const std::size_t grown = done.pool_bytes - warm.pool_bytes;
+  // A slot is one socket (plus a departure Timer on the client side).
+  EXPECT_GE(grown, new_slots * sizeof(TcpSocket));
+  EXPECT_LE(grown, new_slots * (sizeof(TcpSocket) + alignof(TcpSocket) +
+                                sizeof(Timer)));
+  // New highs are rare: far fewer new slots than completed flows.
+  EXPECT_LT(new_slots * 50, s.flows_completed - warm_completed);
+
   EXPECT_GE(s.flows_completed, 10000u);
   EXPECT_EQ(s.violations, 0u);
   // Every completed flow delivered its full payload before the FIN.
@@ -391,6 +405,34 @@ TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
   // The live population stays near target: slots, ports, and table
   // entries are being released, not leaked.
   EXPECT_LT(s.live_flows, 3 * w.config().target_live_flows);
+}
+
+// A pool far below the offered load (4 slots per host against ~16 live
+// flows per host) drops arrivals and ignores SYNs rather than growing.
+// The counts were recorded when every slot was still built in the
+// constructor; materializing slots on first use must reproduce them.
+TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
+  ChurnConfig cfg = SmallChurn(1);
+  cfg.max_live_per_host = 4;
+  ChurnWorkload w(cfg);
+  w.Start();
+  for (Tick t = 2 * kMillisecond; t <= 10 * kMillisecond;
+       t += 2 * kMillisecond) {
+    w.RunTo(t);
+  }
+  const ChurnStats s = w.Stats();
+  EXPECT_EQ(s.flows_started, 327u);
+  EXPECT_EQ(s.flows_completed, 264u);
+  EXPECT_EQ(s.arrivals_dropped, 2205u);
+  EXPECT_EQ(s.accepts_dropped, 38u);
+  EXPECT_EQ(s.live_flows, 63);
+  EXPECT_EQ(s.bytes_received, 571392);
+  EXPECT_EQ(s.events_executed, 33981u);
+  EXPECT_EQ(s.packets_forwarded, 15468u);
+  EXPECT_EQ(s.violations, 0u);
+  EXPECT_EQ(w.Fingerprint(), 0xe05fca4a1b97c95bull);
+  // Never more slots than the pools' capacity: 16 hosts x 4 x 2 sides.
+  EXPECT_LE(w.MeasureFootprint().materialized_slots, 128u);
 }
 
 // The same sharded world must be bit-identical under thread pools of
