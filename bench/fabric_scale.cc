@@ -6,24 +6,28 @@
 //
 //  1. Strategy x shard matrix — one fat-tree permutation (k = 16 full,
 //     k = 4 smoke) run under every partition strategy {random, pod,
-//     min_cut} x shards {1, 2, 4, 8}, plus a pooled run, a fixed-window
-//     run and a pruning-off run. Gate: ONE fingerprint across the whole
-//     matrix (partitioning may only change scheduling, never results)
-//     and zero invariant violations. Window-reduction gate: the fixed-W
-//     oracle at S = 4 must publish >= 5x the windows of the adaptive
-//     channel-clock run. The matrix rows with S > 1 run inline with no
-//     pool, so their wall column measures sharding overhead, not speedup.
+//     min_cut} x shards {1, 2, 4, 8}, plus a pooled run and a pruning-off
+//     run. Gate: ONE fingerprint across the whole matrix (partitioning
+//     may only change scheduling, never results) and zero invariant
+//     violations. Sync-round gate: the pod S = 4 run, inline and pooled,
+//     crosses exactly 138 barriers (smoke: 96) — the fixed-W count the
+//     one window rule reproduces on uniform link delays. The matrix rows
+//     with S > 1 run inline with no pool, so their wall column measures
+//     sharding overhead, not speedup.
 //  1b. Multicore speedup (full mode only) — the k = 16 matrix run at S = 1
-//     inline vs S = 4 on a 3-thread pool, interleaved, median of 5 each.
-//     Gate: >= 1.5x when the machine has >= 4 hardware threads; on fewer
-//     the JSON reports "speedup": null rather than a core-starved ratio.
+//     inline vs S = 4 on a 3-thread pool, interleaved, median of 5 each,
+//     timing RunUntil alone (FabricRunResult::run_seconds; setup is
+//     excluded). Gate: >= 1.5x when the machine has >= 4 hardware
+//     threads; on fewer the JSON reports "speedup": null rather than a
+//     core-starved ratio.
 //  2. Cross-shard fraction gate — at S = 4, pod or min-cut must carry a
 //     >= 3x (smoke: 1.2x) smaller fraction of calendar deliveries across
 //     shards than random. This is the point of topology-aware
 //     partitioning: conservative sync cost scales with cross traffic.
 //  3. Pruning showcase — incast rows aligned with pods under the pod
 //     strategy: every off-diagonal shard pair must be pruned (12 of 12
-//     at S = 4) and cross_shard_handoffs must be exactly zero.
+//     at S = 4), cross_shard_handoffs must be exactly zero, and the run
+//     must be exactly 1 sync round.
 //  4. Dragonfly determinism — minimal and Valiant routing, shards
 //     {1, 2, 4}: one fingerprint per mode, zero violations.
 //  5. 50k-host scale (full mode only) — k = 32 fat-tree with 98 hosts
@@ -68,7 +72,6 @@ struct MatrixPoint {
   double cross_fraction = 0.0;
   std::uint64_t cross_handoffs = 0;
   std::uint64_t sync_rounds = 0;
-  std::uint64_t windows_run = 0;
   int pruned_pairs = 0;
   std::uint64_t fingerprint = 0;
 };
@@ -137,7 +140,6 @@ int Main(int argc, char** argv) {
       p.cross_fraction = r.cross_shard_fraction;
       p.cross_handoffs = r.cross_shard_handoffs;
       p.sync_rounds = r.sync_rounds;
-      p.windows_run = r.windows_run;
       p.pruned_pairs = r.pruned_pairs;
       p.fingerprint = Fingerprint(r);
       points.push_back(p);
@@ -158,11 +160,18 @@ int Main(int argc, char** argv) {
                   p.wall_s);
     }
   }
-  // Same run, different engine knobs: pool, fixed-W oracle, no pruning.
+  // Same run, different engine knobs: pool, no pruning. The pod S = 4
+  // run must cross exactly the recorded number of barriers in each.
   ThreadPool pool(3);
-  std::uint64_t adaptive_windows = 0;
-  std::uint64_t fixed_windows = 0;
-  const double min_window_ratio = 5.0;
+  const std::uint64_t expected_rounds = smoke ? 96 : 138;
+  std::uint64_t rounds_inline = 0;
+  for (const MatrixPoint& p : points) {
+    if (p.shards == 4 && std::strcmp(p.strategy, "pod") == 0) {
+      rounds_inline = p.sync_rounds;
+    }
+  }
+  std::uint64_t rounds_pooled = 0;
+  std::uint64_t rounds_unpruned = 0;
   {
     FabricRunConfig config = base;
     config.strategy = PartitionStrategy::kPod;
@@ -170,32 +179,28 @@ int Main(int argc, char** argv) {
     config.shard_pool = &pool;
     const FabricRunResult pooled = RunFabricWorkload(config);
     config.shard_pool = nullptr;
-    config.fixed_window_lookahead = true;
-    const FabricRunResult fixed = RunFabricWorkload(config);
-    config.fixed_window_lookahead = false;
     config.prune_channels = false;
     const FabricRunResult unpruned = RunFabricWorkload(config);
-    for (const FabricRunResult* r : {&pooled, &fixed, &unpruned}) {
-      if (Fingerprint(*r) != expected_fp) {
-        std::fprintf(stderr,
-                     "fabric_scale: GATE FAIL: pooled/fixed-W/unpruned "
-                     "run diverged from matrix\n");
-        ok = false;
-        break;
-      }
+    if (Fingerprint(pooled) != expected_fp ||
+        Fingerprint(unpruned) != expected_fp) {
+      std::fprintf(stderr,
+                   "fabric_scale: GATE FAIL: pooled/unpruned run diverged "
+                   "from matrix\n");
+      ok = false;
     }
-    adaptive_windows = pooled.windows_run;
-    fixed_windows = fixed.windows_run;
+    rounds_pooled = pooled.sync_rounds;
+    rounds_unpruned = unpruned.sync_rounds;
   }
-  std::printf("window reduction S=4: fixed-W %llu vs adaptive %llu "
-              "(need >= %.0fx)\n",
-              Ull(fixed_windows), Ull(adaptive_windows), min_window_ratio);
-  if (static_cast<double>(fixed_windows) <
-      min_window_ratio * static_cast<double>(adaptive_windows)) {
+  std::printf("sync rounds pod S=4: inline %llu, pooled %llu, unpruned %llu "
+              "(need exactly %llu)\n",
+              Ull(rounds_inline), Ull(rounds_pooled), Ull(rounds_unpruned),
+              Ull(expected_rounds));
+  if (rounds_inline != expected_rounds || rounds_pooled != expected_rounds ||
+      rounds_unpruned != expected_rounds) {
     std::fprintf(stderr,
-                 "fabric_scale: GATE FAIL: fixed-W published %llu windows, "
-                 "< %.0fx adaptive's %llu\n",
-                 Ull(fixed_windows), min_window_ratio, Ull(adaptive_windows));
+                 "fabric_scale: GATE FAIL: pod S=4 sync rounds differ from "
+                 "%llu\n",
+                 Ull(expected_rounds));
     ok = false;
   }
 
@@ -215,9 +220,8 @@ int Main(int argc, char** argv) {
       for (const int shards : {1, 4}) {
         config.shards = shards;
         config.shard_pool = shards > 1 ? &pool : nullptr;
-        const double t0 = Now();
         const FabricRunResult r = RunFabricWorkload(config);
-        (shards > 1 ? pooled_walls : serial_walls).push_back(Now() - t0);
+        (shards > 1 ? pooled_walls : serial_walls).push_back(r.run_seconds);
         if (Fingerprint(r) != expected_fp) {
           std::fprintf(stderr,
                        "fabric_scale: GATE FAIL: timed S=%d run diverged "
@@ -230,8 +234,9 @@ int Main(int argc, char** argv) {
     serial_s = Median(serial_walls);
     pooled_s = Median(pooled_walls);
     speedup_measured = hardware_threads >= 4;
-    std::printf("speedup k=%d: S=1 inline %.3fs, S=4 on 3 threads %.3fs "
-                "(%.2fx, %u hardware threads, need >= %.1fx)\n",
+    std::printf("speedup k=%d (RunUntil): S=1 inline %.3fs, S=4 on 3 "
+                "threads %.3fs (%.2fx, %u hardware threads, need >= "
+                "%.1fx)\n",
                 k, serial_s, pooled_s, serial_s / pooled_s, hardware_threads,
                 min_speedup);
     if (speedup_measured && serial_s < min_speedup * pooled_s) {
@@ -279,13 +284,16 @@ int Main(int argc, char** argv) {
   CheckRun("incast_rows", rows, &ok);
   std::printf(
       "pruning showcase (pod-aligned rows, S=4): pruned_pairs=%d "
-      "cross_handoffs=%llu\n",
-      rows.pruned_pairs, Ull(rows.cross_shard_handoffs));
-  if (rows.pruned_pairs != 12 || rows.cross_shard_handoffs != 0) {
+      "cross_handoffs=%llu sync_rounds=%llu\n",
+      rows.pruned_pairs, Ull(rows.cross_shard_handoffs),
+      Ull(rows.sync_rounds));
+  if (rows.pruned_pairs != 12 || rows.cross_shard_handoffs != 0 ||
+      rows.sync_rounds != 1) {
     std::fprintf(stderr,
-                 "fabric_scale: GATE FAIL: expected 12 pruned pairs and 0 "
-                 "cross handoffs, got %d and %llu\n",
-                 rows.pruned_pairs, Ull(rows.cross_shard_handoffs));
+                 "fabric_scale: GATE FAIL: expected 12 pruned pairs, 0 "
+                 "cross handoffs and 1 sync round, got %d, %llu and %llu\n",
+                 rows.pruned_pairs, Ull(rows.cross_shard_handoffs),
+                 Ull(rows.sync_rounds));
     ok = false;
   }
 
@@ -426,11 +434,10 @@ int Main(int argc, char** argv) {
                    "    {\"strategy\": \"%s\", \"shards\": %d, "
                    "\"cross_shard_fraction\": %.4f, "
                    "\"cross_shard_handoffs\": %llu, \"sync_rounds\": %llu, "
-                   "\"windows_run\": %llu, \"pruned_pairs\": %d, "
-                   "\"wall_seconds\": %.3f}%s\n",
+                   "\"pruned_pairs\": %d, \"wall_seconds\": %.3f}%s\n",
                    p.strategy, p.shards, p.cross_fraction,
                    Ull(p.cross_handoffs), Ull(p.sync_rounds),
-                   Ull(p.windows_run), p.pruned_pairs, p.wall_s,
+                   p.pruned_pairs, p.wall_s,
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
@@ -438,12 +445,15 @@ int Main(int argc, char** argv) {
                  "  \"matrix_note\": \"S>1 rows run inline with no pool: "
                  "wall_seconds is sharding overhead, not a speedup\",\n");
     std::fprintf(out,
-                 "  \"window_reduction_s4\": {\"fixed_windows\": %llu, "
-                 "\"adaptive_windows\": %llu, \"min_ratio\": %.1f},\n",
-                 Ull(fixed_windows), Ull(adaptive_windows), min_window_ratio);
+                 "  \"sync_rounds_pod_s4\": {\"inline\": %llu, "
+                 "\"pooled\": %llu, \"unpruned\": %llu, "
+                 "\"expected\": %llu},\n",
+                 Ull(rounds_inline), Ull(rounds_pooled),
+                 Ull(rounds_unpruned), Ull(expected_rounds));
     if (speedup_measured) {
       std::fprintf(out,
-                   "  \"speedup_s4\": {\"hardware_threads\": %u, "
+                   "  \"speedup_s4\": {\"timed\": \"RunUntil\", "
+                   "\"hardware_threads\": %u, "
                    "\"serial_seconds\": %.3f, \"pooled_seconds\": %.3f, "
                    "\"speedup\": %.2f, \"min_speedup\": %.1f},\n",
                    hardware_threads, serial_s, pooled_s, serial_s / pooled_s,
@@ -462,8 +472,9 @@ int Main(int argc, char** argv) {
                  min_ratio);
     std::fprintf(out,
                  "  \"pruning_showcase\": {\"pruned_pairs\": %d, "
-                 "\"cross_shard_handoffs\": %llu},\n",
-                 rows.pruned_pairs, Ull(rows.cross_shard_handoffs));
+                 "\"cross_shard_handoffs\": %llu, \"sync_rounds\": %llu},\n",
+                 rows.pruned_pairs, Ull(rows.cross_shard_handoffs),
+                 Ull(rows.sync_rounds));
     std::fprintf(out,
                  "  \"dragonfly\": {\"minimal_fingerprint\": \"%016llx\", "
                  "\"valiant_fingerprint\": \"%016llx\"},\n",

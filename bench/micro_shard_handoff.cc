@@ -1,23 +1,17 @@
 // Microbenchmarks breaking a parallel window's overhead into its parts:
 //
 //   publish + spin  BM_WindowGangBarrier — one gang publish, helpers wake
-//                   from the escalating backoff, claim, join. The cost a
-//                   batched window pays ONCE per concurrent phase and the
-//                   fixed-W oracle pays per causality barrier.
-//   sub-round sync  BM_BatchSubRoundSync — the claim-CAS / done-increment
-//                   / round-republish cycle a resident participant pays
-//                   per sub-round INSIDE a batched window (no re-publish,
-//                   no helper wake).
+//                   from the escalating backoff, claim, join. The cost
+//                   every window with two or more active shards pays.
 //   drain           BM_StagingAppendDrain — SoA outbox staging: append a
 //                   window's handoffs, walk them, clear.
 //   merge           BM_MailboxMergeAndDrain (per-entry Push) and
 //                   BM_CalendarBulkMerge (AppendRaw + FinishBulk) — the
-//                   closer's cost of folding staged handoffs into peer
-//                   arrival calendars.
+//                   coordinator's cost of folding staged handoffs into
+//                   peer arrival calendars.
 //
 // These bound the price of sharding: a window is profitable when the
-// events it runs cost more than one barrier plus its handoff merges, and
-// the publish-vs-sub-round gap is exactly what batched wide windows save.
+// events it runs cost more than one barrier plus its handoff merges.
 // BM_CrossShardFraction closes the loop: it runs a real fat-tree
 // permutation under each partition strategy and reports what fraction of
 // calendar deliveries actually crossed shards — the quantity all the
@@ -96,45 +90,9 @@ void BM_WindowGangBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowGangBarrier)->Arg(2)->Arg(4)->Arg(8);
 
-/// Sub-round synchronization inside a batched window: every shard run
-/// costs one claim CAS plus one done increment, and the sub-round's
-/// closer republishes the next round with one release store. Measured
-/// single-threaded — the protocol's instruction cost without contention —
-/// this is the floor a resident participant pays per sub-round, to
-/// compare against ns_per_window in BM_WindowGangBarrier (what the
-/// fixed-W oracle pays for the same barrier).
-void BM_BatchSubRoundSync(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  std::atomic<std::uint64_t> round{0};
-  std::atomic<std::uint64_t> claim{0};
-  std::atomic<int> done{0};
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    const std::uint64_t r = round.load(std::memory_order_acquire);
-    for (int t = 0; t < shards; ++t) {
-      std::uint64_t c = claim.load(std::memory_order_relaxed);
-      while (!claim.compare_exchange_weak(c, c + 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-      }
-      sink += c;
-      done.fetch_add(1, std::memory_order_acq_rel);
-    }
-    done.store(0, std::memory_order_relaxed);
-    claim.store(((r + 1) & 0xffffffffu) << 32, std::memory_order_relaxed);
-    round.store(r + 1, std::memory_order_release);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-  state.counters["ns_per_subround"] = benchmark::Counter(
-      static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_BatchSubRoundSync)->Arg(2)->Arg(4)->Arg(8);
-
 /// The drain half of a shard run: handoffs accumulate in the SoA staging
 /// buffer during the window (branch-light appends into five flat
-/// vectors), then the closer walks them once and clears. Per-handoff cost
+/// vectors), then the merge walks them once and clears. Per-handoff cost
 /// of staging without the calendar.
 void BM_StagingAppendDrain(benchmark::State& state) {
   const int per_window = static_cast<int>(state.range(0));
@@ -164,7 +122,7 @@ void BM_StagingAppendDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_StagingAppendDrain)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-/// Bulk merge path the closer actually uses: AppendRaw a batch into the
+/// Bulk merge path MergeStaging actually uses: AppendRaw a batch into the
 /// calendar, FinishBulk once (sift small suffixes, heapify big ones),
 /// then drain. Compare per-handoff cost with BM_MailboxMergeAndDrain's
 /// per-entry Push.

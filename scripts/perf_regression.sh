@@ -190,7 +190,7 @@ run_bench soak_impairment \
   "$build_dir/bench/soak_impairment" "$repo_root/BENCH_soak.json"
 echo "Wrote $repo_root/BENCH_soak.json"
 # Fabric topologies + partitioning: strategy x shard determinism matrix,
-# cross-shard-fraction, channel-pruning, window-reduction and multicore
+# cross-shard-fraction, channel-pruning, exact sync-round and multicore
 # speedup gates, and the 50k-host
 # fat-tree permutation / 2048-fan-in incast sweep with the compact-routing
 # memory gate.

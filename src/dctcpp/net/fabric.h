@@ -26,7 +26,7 @@
 // (MarkShardPairs): the union over every ECMP member of every hop, both
 // directions, is a conservative over-approximation the driver feeds to
 // ParallelSimulation::RestrictChannels so shard pairs the connection
-// matrix never couples get infinite lookahead.
+// matrix never couples stop bounding the window width.
 #pragma once
 
 #include <cstdint>

@@ -53,9 +53,9 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
     psim_->RegisterPortSink(port_gid_, &peer_, dst_shard_);
     // A zero-delay link would make the conservative lookahead zero.
     DCTCPP_ASSERT(config.propagation_delay > 0);
-    // Feed the channel-clock lookahead: this link bounds how fast an
-    // event on src_shard_ can influence dst_shard_ (or, intra-shard, how
-    // far the shard's wheel may run before re-reading its own calendar).
+    // Feed the window width: this link bounds how fast an event on
+    // src_shard_ can influence dst_shard_ (or, intra-shard, how far the
+    // shard's wheel may run before re-reading its own calendar).
     psim_->ObserveChannel(src_shard_, dst_shard_, config.propagation_delay);
   }
   if (config.red) {

@@ -178,8 +178,6 @@ ParallelSimulation::ParallelSimulation(std::uint64_t seed, int shards)
     shards_.push_back(std::move(sh));
   }
   channel_min_.assign(s * s, kTickMax);
-  influence_.assign(s * s, kTickMax);
-  window_ends_.assign(s, 0);
 }
 
 void ParallelSimulation::ObserveChannel(int src, int dst,
@@ -190,7 +188,7 @@ void ParallelSimulation::ObserveChannel(int src, int dst,
   if (src == dst) {
     // Intra-shard channel: bounds how deep the shard's own wheel may run
     // before re-reading its calendar (see RunShardWindow), but plays no
-    // part in the cross-shard closure.
+    // part in W.
     Shard& sh = *shards_[static_cast<std::size_t>(src)];
     sh.self_delay = std::min(sh.self_delay, propagation_delay);
     return;
@@ -199,41 +197,6 @@ void ParallelSimulation::ObserveChannel(int src, int dst,
                                 static_cast<std::size_t>(shard_count()) +
                             static_cast<std::size_t>(dst)];
   slot = std::min(slot, propagation_delay);
-}
-
-void ParallelSimulation::ComputeInfluenceClosure() {
-  // Min-plus closure of the channel graph over paths with >= 1 hop: seed
-  // with the direct channels (diagonal stays kTickMax, NOT 0 — influence
-  // needs at least one link) and relax Floyd-Warshall style. All weights
-  // are positive, so shortest walks are simple-ish and the closure obeys
-  // the triangle inequality R[k][i] + R[i][j] >= R[k][j] — the property
-  // behind both window safety and clock monotonicity (DESIGN.md Sec. 10).
-  // Intra-shard links are irrelevant as intermediate hops: a path through
-  // a node of shard i enters and leaves i over cross-shard channels, and
-  // inserting intra-shard hops only adds positive delay.
-  const auto s = static_cast<std::size_t>(shard_count());
-  influence_ = channel_min_;
-  if (!channel_allowed_.empty()) {
-    // Pruned channels carry no traffic (RestrictChannels' verified
-    // promise), so they contribute no influence: masking them before the
-    // closure is what turns a good partition into infinite lookahead for
-    // the shard pairs the connection matrix never couples.
-    for (std::size_t i = 0; i < s * s; ++i) {
-      if (channel_allowed_[i] == 0) influence_[i] = kTickMax;
-    }
-  }
-  for (std::size_t k = 0; k < s; ++k) {
-    for (std::size_t i = 0; i < s; ++i) {
-      const Tick ik = influence_[i * s + k];
-      if (ik == kTickMax) continue;
-      for (std::size_t j = 0; j < s; ++j) {
-        const Tick kj = influence_[k * s + j];
-        if (kj == kTickMax) continue;
-        Tick& ij = influence_[i * s + j];
-        ij = std::min(ij, SatAddTick(ik, kj));
-      }
-    }
-  }
 }
 
 void ParallelSimulation::Handoff(int src, int dst, Tick at, std::uint64_t key,
@@ -269,6 +232,19 @@ void ParallelSimulation::RestrictChannels(std::vector<std::uint8_t> allowed) {
   const auto s = static_cast<std::size_t>(shard_count());
   DCTCPP_ASSERT(allowed.size() == s * s);
   channel_allowed_ = std::move(allowed);
+}
+
+Tick ParallelSimulation::WindowWidth() const {
+  // Pruned channels carry no traffic (RestrictChannels' verified promise),
+  // so they bound nothing: masking them is what turns a good partition
+  // into wider windows, up to one window per RunUntil.
+  const auto s = static_cast<std::size_t>(shard_count());
+  Tick w = kTickMax;
+  for (std::size_t i = 0; i < s * s; ++i) {
+    if (!channel_allowed_.empty() && channel_allowed_[i] == 0) continue;
+    w = std::min(w, channel_min_[i]);
+  }
+  return w;
 }
 
 std::uint64_t ParallelSimulation::pruned_channel_handoffs() const {
@@ -307,10 +283,9 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
       // Wheel events up to the intra-shard lookahead horizon: an event at
       // u >= tw may deposit an arrival into this shard's own calendar due
       // u + self_delay at the earliest, so every wheel tick before
-      // tw + self_delay is safe to run blind — but no further, because
-      // adaptive windows are wider than intra-shard link delays (the
-      // fixed-W engine never noticed: its windows were narrower than any
-      // link delay, so in-window deposits always landed beyond `end`).
+      // tw + self_delay is safe to run blind — but no further, because W
+      // only bounds cross-shard links: an intra-shard link may be faster,
+      // and at S = 1 or under full pruning the window is unbounded.
       sim.RunWindow(std::min({tc, end, SatAddTick(tw, sh.self_delay)}));
     }
   }
@@ -325,7 +300,7 @@ void ParallelSimulation::MergeStaging() {
       // Always-on causality check: a deposit due before the horizon its
       // destination already ran to would have been delivered in the past.
       // Window safety (DESIGN.md Sec. 10) proves this cannot happen for a
-      // correct influence map; a wrong RestrictChannels mask can make it
+      // correct channel map; a wrong RestrictChannels mask can make it
       // happen. Either way the run is flagged, and the arrival is clamped
       // to the destination's horizon so it degrades (late delivery) rather
       // than aborting on the scheduler's time-monotonicity assert.
@@ -346,235 +321,56 @@ void ParallelSimulation::MergeStaging() {
   for (auto& sh : shards_) sh->calendar.FinishBulk();
 }
 
-Tick ParallelSimulation::RefreshNext() {
-  const int s = shard_count();
-  Tick gn = kTickMax;
-  for (int i = 0; i < s; ++i) {
-    next_[static_cast<std::size_t>(i)] =
-        ShardNext(*shards_[static_cast<std::size_t>(i)]);
-    gn = std::min(gn, next_[static_cast<std::size_t>(i)]);
-  }
-  return gn;
-}
-
-void ParallelSimulation::ComputeHorizons(Tick dp1) {
-  // Per-shard channel clocks: shard j may run until the earliest
-  // cross-shard influence still possible, C_j = min over i of
-  // next_i + R[i][j] (including i == j: a round trip through another
-  // shard can bounce j's own packet back). C_j > gn always holds — R is
-  // positive — so the gn-shard is always active and every sub-round makes
-  // progress even when all channels are busy.
-  const int s = shard_count();
-  const auto su = static_cast<std::size_t>(s);
-  active_.clear();
-  for (int j = 0; j < s; ++j) {
-    Shard& sh = *shards_[static_cast<std::size_t>(j)];
-    Tick cj = dp1;
-    for (int i = 0; i < s; ++i) {
-      const Tick r = influence_[static_cast<std::size_t>(i) * su +
-                                static_cast<std::size_t>(j)];
-      if (r == kTickMax) continue;
-      cj = std::min(cj, SatAddTick(next_[static_cast<std::size_t>(i)], r));
-    }
-    // Always-on monotonicity check: channel clocks never regress (next_i
-    // only grows between sub-rounds and R obeys the triangle inequality —
-    // DESIGN.md Sec. 10). A regression is counted and clamped away so a
-    // bug can never shrink a horizon a shard already ran under.
-    if (cj < sh.clock) {
-      ++lookahead_regressions_;
-      cj = sh.clock;
-    }
-    sh.clock = cj;
-    window_ends_[static_cast<std::size_t>(j)] = cj;
-    sh.ran_to = std::max(sh.ran_to, cj);
-    if (next_[static_cast<std::size_t>(j)] < cj) active_.push_back(j);
-  }
-}
-
-void ParallelSimulation::CloseSubRound(std::uint64_t r, Tick dp1) {
-  // Serial step: only the participant whose done-increment completed the
-  // sub-round gets here, and successive closers are ordered by the round
-  // publish/acquire chain, so the coordinator's non-atomic state is safe.
-  MergeStaging();
-  const Tick gn = RefreshNext();
-  bool more = gn < dp1;
-  if (more) {
-    ComputeHorizons(dp1);
-    quiet_rounds_ =
-        active_.size() <= 1 ? quiet_rounds_ + 1 : 0;
-    // A concurrent phase that collapsed to a sequential relay for a
-    // while hands control back to the inline path, parking the helpers.
-    if (quiet_rounds_ >= kQuietRoundsToClose) more = false;
-  }
-  BatchState& b = batch_;
-  if (!more) {
-    b.window_over.store(true, std::memory_order_relaxed);
-    b.round.fetch_add(1, std::memory_order_release);
-    return;
-  }
-  ++sync_rounds_;
-  const std::uint64_t nr = r + 1;
-  b.count[nr & 1].store(static_cast<int>(active_.size()),
-                        std::memory_order_relaxed);
-  b.done.store(0, std::memory_order_relaxed);
-  b.claim.store((nr & 0xffffffffu) << 32, std::memory_order_relaxed);
-  b.round.store(nr, std::memory_order_release);
-}
-
-void ParallelSimulation::RunBatchWindow(Tick dp1) {
-  BatchState& b = batch_;
-  int spin = 0;
-  for (;;) {
-    const std::uint64_t r = b.round.load(std::memory_order_acquire);
-    if (b.window_over.load(std::memory_order_acquire)) return;
-    const auto r32 = static_cast<std::uint32_t>(r & 0xffffffffu);
-    std::uint64_t c = b.claim.load(std::memory_order_relaxed);
-    while ((c >> 32) == r32) {
-      const auto t = static_cast<std::uint32_t>(c & 0xffffffffu);
-      // Same epoch/parity reasoning as WindowGang::ClaimLoop: the count
-      // slot is only trusted while the claim word still carries this
-      // sub-round's epoch, and a stale CAS can never succeed because the
-      // claim word never returns to an old epoch.
-      if (static_cast<int>(t) >=
-          b.count[r & 1].load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (!b.claim.compare_exchange_weak(c, c + 1, std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        continue;
-      }
-      const int idx = active_[t];
-      RunShardWindow(idx, window_ends_[static_cast<std::size_t>(idx)]);
-      const int n = b.count[r & 1].load(std::memory_order_relaxed);
-      // acq_rel: the closer's increment acquires every earlier runner's
-      // release, so CloseSubRound sees all shard writes of the sub-round.
-      if (static_cast<int>(
-              b.done.fetch_add(1, std::memory_order_acq_rel)) +
-              1 ==
-          n) {
-        CloseSubRound(r, dp1);
-      }
-      spin = 0;
-      c = b.claim.load(std::memory_order_relaxed);
-    }
-    if (b.round.load(std::memory_order_acquire) != r) {
-      spin = 0;
-      continue;
-    }
-    SpinWait(spin++);
-  }
-}
-
 std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
   DCTCPP_ASSERT(deadline >= 0);
   const Tick dp1 = SatAddTick(deadline, 1);
+  const Tick width = WindowWidth();
   const int s = shard_count();
   const int helpers =
       pool != nullptr
           ? static_cast<int>(std::min<std::size_t>(
                 pool->size(), static_cast<std::size_t>(s - 1)))
           : 0;
-  next_.assign(static_cast<std::size_t>(s), kTickMax);
-  const std::uint64_t windows_before = windows_;
+  std::unique_ptr<WindowGang> gang;
+  if (helpers > 0) {
+    gang = std::make_unique<WindowGang>(*pool, helpers, [this](int t) {
+      RunShardWindow(active_[static_cast<std::size_t>(t)], window_end_);
+    });
+  }
+  const std::uint64_t rounds_before = sync_rounds_;
+  std::vector<Tick> next(static_cast<std::size_t>(s));
 
-  // Note the stop flag never breaks these loops: a shard's Stop() only
-  // marks the run stopped, and windows keep going until the world drains
-  // (gn reaching dp1). Shards overshoot a mid-window stop by
+  // Note the stop flag never breaks this loop: a shard's Stop() only marks
+  // the run stopped, and windows keep going until the world drains (gn
+  // reaching dp1). Shards overshoot a mid-window stop by
   // partition-dependent amounts, so cutting execution off at the stopping
   // window would make the executed event set — and every counter derived
-  // from it — depend on the shard count and lookahead mode. Running to
-  // quiescence makes it "every reachable event", identical for all
-  // partitions and both modes.
-  if (mode_ == LookaheadMode::kFixedWindow) {
-    // PR-5 oracle: one global window of the topology-wide min delay per
-    // barrier, one gang publish per window. Kept verbatim as the runtime
-    // reference both for results (bit-identical) and for overhead (this
-    // is the publish-per-barrier cost the batched path amortizes).
-    std::unique_ptr<WindowGang> gang;
-    if (helpers > 0) {
-      gang = std::make_unique<WindowGang>(*pool, helpers, [this](int t) {
-        const int idx = active_[static_cast<std::size_t>(t)];
-        RunShardWindow(idx, window_ends_[static_cast<std::size_t>(idx)]);
-      });
+  // from it — depend on the shard count. Running to quiescence makes it
+  // "every reachable event", identical for all partitions.
+  for (;;) {
+    Tick gn = kTickMax;
+    for (int i = 0; i < s; ++i) {
+      next[static_cast<std::size_t>(i)] =
+          ShardNext(*shards_[static_cast<std::size_t>(i)]);
+      gn = std::min(gn, next[static_cast<std::size_t>(i)]);
     }
-    for (;;) {
-      const Tick gn = RefreshNext();
-      if (gn >= dp1) break;
-      const Tick we = std::min(SatAddTick(gn, lookahead_), dp1);
-      active_.clear();
-      for (int i = 0; i < s; ++i) {
-        Shard& sh = *shards_[static_cast<std::size_t>(i)];
-        window_ends_[static_cast<std::size_t>(i)] = we;
-        sh.ran_to = std::max(sh.ran_to, we);
-        if (next_[static_cast<std::size_t>(i)] < we) active_.push_back(i);
-      }
-      ++windows_;
-      ++sync_rounds_;
-      if (gang != nullptr && active_.size() > 1) {
-        ++gang_windows_;
-        gang->Run(static_cast<int>(active_.size()));
-      } else {
-        for (const int idx : active_) {
-          RunShardWindow(idx, window_ends_[static_cast<std::size_t>(idx)]);
-        }
-      }
-      MergeStaging();
-    }
-  } else {
-    ComputeInfluenceClosure();
-    std::unique_ptr<WindowGang> gang;
-    if (helpers > 0) {
-      gang = std::make_unique<WindowGang>(
-          *pool, helpers, [this](int) { RunBatchWindow(batch_dp1_); });
-    }
-    // Participant slots per batched window: the caller plus every helper,
-    // but never more than could run distinct shards at once.
-    const int participants = std::min(helpers + 1, s);
-    for (;;) {
-      Tick gn = RefreshNext();
-      if (gn >= dp1) break;
-      ComputeHorizons(dp1);
-      ++windows_;
-      if (active_.size() <= 1) {
-        // Sequential relay segment: one influence chain hopping between
-        // shards (straggler recovery, connect handshakes). Run it as one
-        // window with zero synchronization traffic — each hop is a
-        // shard run plus a single-threaded merge, no publish, no gang.
-        do {
-          ++sync_rounds_;
-          const int idx = active_[0];
-          RunShardWindow(idx, window_ends_[static_cast<std::size_t>(idx)]);
-          MergeStaging();
-          gn = RefreshNext();
-          if (gn >= dp1) break;
-          ComputeHorizons(dp1);
-        } while (active_.size() <= 1);
-        continue;
-      }
-      // Concurrent phase: publish ONE wide window and run sub-rounds
-      // inside it until the phase dies down (kQuietRoundsToClose) or the
-      // world drains. Helpers stay resident across sub-rounds; the
-      // per-sub-round cost is one claim/done cycle plus the closer's
-      // serial merge, with no re-publish and no helper re-wake.
-      ++sync_rounds_;
-      quiet_rounds_ = 0;
-      batch_dp1_ = dp1;
-      BatchState& b = batch_;
-      const std::uint64_t r = b.round.load(std::memory_order_relaxed);
-      b.count[r & 1].store(static_cast<int>(active_.size()),
-                           std::memory_order_relaxed);
-      b.done.store(0, std::memory_order_relaxed);
-      b.claim.store((r & 0xffffffffu) << 32, std::memory_order_relaxed);
-      b.window_over.store(false, std::memory_order_relaxed);
-      if (gang != nullptr) {
-        // The gang publish is the release fence that makes the batch
-        // state above visible to helpers.
-        ++gang_windows_;
-        gang->Run(participants);
-      } else {
-        RunBatchWindow(dp1);
+    if (gn >= dp1) break;
+    window_end_ = std::min(SatAddTick(gn, width), dp1);
+    active_.clear();
+    for (int i = 0; i < s; ++i) {
+      Shard& sh = *shards_[static_cast<std::size_t>(i)];
+      sh.ran_to = std::max(sh.ran_to, window_end_);
+      if (next[static_cast<std::size_t>(i)] < window_end_) {
+        active_.push_back(i);
       }
     }
+    ++sync_rounds_;
+    if (gang != nullptr && active_.size() > 1) {
+      gang->Run(static_cast<int>(active_.size()));
+    } else {
+      for (const int idx : active_) RunShardWindow(idx, window_end_);
+    }
+    MergeStaging();
   }
   stopped_ = stop_.load(std::memory_order_acquire);
 
@@ -585,7 +381,7 @@ std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
       if (sh->sim.Now() < deadline) sh->sim.SetNow(deadline);
     }
   }
-  return windows_ - windows_before;
+  return sync_rounds_ - rounds_before;
 }
 
 std::uint64_t ParallelSimulation::events_executed() const {
@@ -632,7 +428,6 @@ std::uint64_t ParallelSimulation::invariant_violations() const {
   for (const auto& sh : shards_) total += sh->sim.invariants().violations();
   if (!NetworkInvariants::LedgerConsistent(MergedLedger())) ++total;
   total += merge_causality_violations_;
-  total += lookahead_regressions_;
   total += pruned_channel_handoffs();
   return total;
 }
@@ -691,13 +486,10 @@ void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
   w.Tag(kTagParallel);
   w.U64(seed_);
   w.U64(shards_.size());
-  w.I64(lookahead_);  // audit: rebuilt by topology construction
+  w.I64(WindowWidth());  // audit: rebuilt by topology construction
   w.Bool(stopped_);
-  w.U64(windows_);
-  w.U64(gang_windows_);
   w.U64(sync_rounds_);
   w.U64(merge_causality_violations_);
-  w.U64(lookahead_regressions_);
   for (const auto& sh : shards_) {
     w.Tag(kTagShard);
     // Barrier precondition: staging buffers are drained at every window
@@ -707,7 +499,6 @@ void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
     w.U64(sh->delivered);
     w.U64(sh->cross_deposits);
     w.I64(sh->ran_to);
-    w.I64(sh->clock);
     w.I64(sh->self_delay);  // audit: rebuilt by topology construction
     w.U64(sh->pruned_handoffs);
     sh->calendar.SaveState(w);
@@ -721,15 +512,12 @@ void ParallelSimulation::RestoreCheckpoint(CheckpointReader& r,
   DCTCPP_ASSERT(saved_seed == seed_);
   const std::uint64_t saved_shards = r.U64();
   DCTCPP_ASSERT(saved_shards == shards_.size());
-  const Tick saved_lookahead = r.I64();
-  DCTCPP_ASSERT(saved_lookahead == lookahead_);
+  const Tick saved_width = r.I64();
+  DCTCPP_ASSERT(saved_width == WindowWidth());
   stopped_ = r.Bool();
   if (stopped_) stop_.store(true, std::memory_order_release);
-  windows_ = r.U64();
-  gang_windows_ = r.U64();
   sync_rounds_ = r.U64();
   merge_causality_violations_ = r.U64();
-  lookahead_regressions_ = r.U64();
   for (auto& sh : shards_) {
     r.ExpectTag(kTagShard);
     DCTCPP_ASSERT(sh->staging.Empty() && sh->calendar.Empty());
@@ -737,7 +525,6 @@ void ParallelSimulation::RestoreCheckpoint(CheckpointReader& r,
     sh->delivered = r.U64();
     sh->cross_deposits = r.U64();
     sh->ran_to = r.I64();
-    sh->clock = r.I64();
     const Tick saved_self_delay = r.I64();
     DCTCPP_ASSERT(saved_self_delay == sh->self_delay);
     sh->pruned_handoffs = r.U64();
@@ -763,9 +550,6 @@ std::string ParallelSimulation::first_violation() const {
   }
   if (merge_causality_violations_ > 0) {
     return "cross-shard merge behind destination run horizon";
-  }
-  if (lookahead_regressions_ > 0) {
-    return "channel clock regressed between windows";
   }
   return std::string();
 }

@@ -11,38 +11,20 @@
 // independently over a window it cannot be influenced within, then
 // exchange cross-shard packets at a barrier and repeat.
 //
-// Two lookahead modes share the loop:
-//
-//  - kChannelClock (default). Each directed shard pair carries a channel
-//    whose weight is the minimum propagation delay of any link crossing
-//    it; R = the min-plus transitive closure of that channel graph over
-//    paths with >= 1 hop (so R[j][j] is the cheapest round trip through
-//    other shards, not 0). At a barrier where shard i's earliest pending
-//    work is next_i, shard j's incoming channel clock is
-//        C_j = min(deadline + 1, min over all i of next_i + R[i][j])
-//    and j may run every event with tick < C_j. Windows widen from "one
-//    min-link-delay" to "until the next cross-shard arrival actually
-//    possible", collapsing thousands of near-empty windows when traffic
-//    is sparse (timeout lulls, connection stagger). C_j is provably
-//    non-decreasing across windows (see DESIGN.md Sec. 10); the engine
-//    checks that, plus merge causality, on every window.
-//  - kFixedWindow. The PR-5 oracle: one global window [gn, gn + W) with
-//    W = min link delay over the whole topology. Kept as a runtime
-//    reference mode; tests and benches assert the two modes are
-//    bit-identical.
-//
-// Execution is batched in kChannelClock mode: horizons cannot reduce the
-// number of causality barriers during a concurrent phase (the hop cadence
-// binds both modes), but they let the coordinator publish ONE WindowGang
-// window spanning the whole phase. Helpers stay resident inside it and
-// sub-rounds advance via a closer protocol (BatchState below): per shard
-// run one claim-CAS + one done-increment, per sub-round one serial merge
-// + one release store — no re-publish, no helper wake. Stretches with
-// <= 1 active shard run inline as relay segments with zero atomics.
-// windows_run counts publishes/segments; sync_rounds counts barriers.
+// One window rule drives the loop. Each directed shard pair (i, j)
+// carries a channel whose weight is the minimum propagation delay of any
+// link crossing it. W is the smallest weight over the channels that
+// RestrictChannels still allows; with no such channel (S = 1, or every
+// off-diagonal pair pruned) W = kTickMax. At each barrier, with gn the
+// earliest pending work of any shard, every shard runs the one global
+// window [gn, min(gn + W, deadline + 1)): nothing a peer does inside the
+// window can reach it before the window ends. Windows with two or more
+// active shards are one WindowGang publish; the rest run inline.
+// sync_rounds counts the barriers. Pruning is the only widening of W;
+// DESIGN.md Sec. 10 has the measurements behind keeping no other.
 //
 // Determinism is the design center: a run is bit-identical across shard
-// counts AND lookahead modes. The ingredients:
+// counts and pools. The ingredients:
 //
 //  - Executed set. Windows only chunk each shard's canonical event
 //    sequence; they never reorder it (wheel events pop in (time, seq)
@@ -77,7 +59,7 @@
 // common state except through the calendar, and cross-node counters are
 // commutative sums.
 //
-// Note the promise is invariance across {shard count, mode, pool}, not
+// Note the promise is invariance across {shard count, pool}, not
 // equality with the legacy single-Simulator path: at equal-tick collisions
 // the legacy engine orders deliveries by wheel insertion while the
 // calendar orders by port id, so the two engines are separately
@@ -264,16 +246,10 @@ class WindowGang {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Lookahead strategy of the coordinator's window loop; see file header.
-enum class LookaheadMode {
-  kChannelClock,  ///< per-shard adaptive horizons (production)
-  kFixedWindow,   ///< global [gn, gn + min-link-delay) windows (oracle)
-};
-
 /// Coordinator owning the S shard Simulators of one world. Topology
 /// construction goes through Network(ParallelSimulation&), which assigns
-/// nodes to shards and reports every link's propagation delay here; the
-/// workload then drives the run with RunUntil.
+/// nodes to shards; every egress port reports its link's delay here
+/// (ObserveChannel), and the workload then drives the run with RunUntil.
 class ParallelSimulation {
  public:
   /// All shards share `seed` (stream ids, not draw interleaving, separate
@@ -286,40 +262,26 @@ class ParallelSimulation {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   Simulator& shard(int i) { return shards_[static_cast<std::size_t>(i)]->sim; }
 
-  void set_lookahead_mode(LookaheadMode mode) { mode_ = mode; }
-  LookaheadMode lookahead_mode() const { return mode_; }
-
-  /// Called by the topology builder for every link direction; the minimum
-  /// becomes the fixed-window mode's synchronization window W. Zero-delay
-  /// links would destroy the lookahead and are rejected in sharded mode.
-  void ObserveLinkDelay(Tick propagation_delay) {
-    DCTCPP_ASSERT(propagation_delay > 0);
-    if (propagation_delay < lookahead_) lookahead_ = propagation_delay;
-  }
-  Tick lookahead() const { return lookahead_; }
-
-  /// Called by EgressPort construction for every link whose endpoints sit
-  /// on different shards: the (src, dst) channel's minimum delay feeds the
-  /// channel-clock influence closure. Intra-shard links are irrelevant
-  /// here — their deliveries stay inside one shard's in-order window run,
-  /// and as intermediate hops they only lengthen a cross-shard path.
+  /// Called by EgressPort construction for every link direction (zero
+  /// delays are rejected: they would leave no lookahead). A cross-shard
+  /// link lowers the (src, dst) channel's minimum delay, from which
+  /// RunUntil takes the window W; an intra-shard link lowers the shard's
+  /// self_delay (see RunShardWindow).
   void ObserveChannel(int src, int dst, Tick propagation_delay);
 
-  /// Channel pruning: restricts the channel-clock closure to the shard
-  /// pairs in `allowed` (row-major S x S, nonzero = traffic possible).
-  /// A fabric that knows its connection matrix can prove most directed
-  /// pairs carry no packet ever — every ECMP member of every flow's path,
-  /// both directions, stays inside the allowed set — and pruning them
-  /// gives the remaining pairs (often: everyone) infinite lookahead from
-  /// those directions, so e.g. pod-local incast rows under a pod-boundary
-  /// partition run barrier-free to the deadline. The claim is verified,
-  /// not trusted: a cross-shard handoff on a pruned pair increments a
-  /// per-shard violation counter folded into invariant_violations() (and
-  /// the merge-horizon check would also fire), so a wrong mask is loud,
-  /// never a silent mis-simulation. Fixed-window mode ignores the mask —
-  /// the PR-5 oracle stays fully conservative, and bit-identity between
-  /// modes still holds because lookahead never affects the executed set.
-  /// Call after topology construction, before RunUntil.
+  /// Channel pruning: W ignores every shard pair not in `allowed`
+  /// (row-major S x S, nonzero = traffic possible). A fabric that knows
+  /// its connection matrix can prove most directed pairs carry no packet
+  /// ever — every ECMP member of every flow's path, both directions,
+  /// stays inside the allowed set — and pruning them widens W to the
+  /// cheapest channel left; with every off-diagonal pair pruned (e.g.
+  /// pod-local incast rows under a pod-boundary partition) the run is one
+  /// window to the deadline. The claim is verified, not trusted: a
+  /// cross-shard handoff on a pruned pair increments a per-shard
+  /// violation counter folded into invariant_violations() (and the
+  /// merge-horizon check would also fire), so a wrong mask is loud, never
+  /// a silent mis-simulation. Call after topology construction, before
+  /// RunUntil.
   void RestrictChannels(std::vector<std::uint8_t> allowed);
 
   /// Cross-shard handoffs that crossed a pruned channel (expected 0).
@@ -334,7 +296,7 @@ class ParallelSimulation {
                PacketSink* sink, const Packet& pkt);
 
   /// Runs every shard to `deadline` (inclusive, as Simulator::RunUntil)
-  /// in lockstep lookahead windows. Windows with more than one active
+  /// in lockstep windows of width W. Windows with more than one active
   /// shard are fanned over `pool` (nullptr or empty pool: coordinator
   /// runs everything inline). Returns the number of windows executed.
   std::uint64_t RunUntil(Tick deadline, ThreadPool* pool = nullptr);
@@ -353,37 +315,20 @@ class ParallelSimulation {
   /// consistency check that per-shard recorders must defer (a packet is
   /// born on one shard and retired on another), plus any coordinator
   /// violations: a merge that lands behind a shard's run horizon, or a
-  /// channel clock that regressed.
+  /// handoff on a pruned channel.
   std::uint64_t invariant_violations() const;
   std::string first_violation() const;
 
-  // Window-loop instrumentation (micro_shard_handoff / fabric_scale).
-  /// Windows dispatched by the coordinator. In adaptive mode a window is
-  /// one published execution segment — a gang publish spanning a whole
-  /// concurrent phase (many sub-rounds), or one inline sequential relay
-  /// segment — so this counts how often the engine had to start a fresh
-  /// dispatch, not how many causality barriers it crossed (sync_rounds()
-  /// keeps that). In fixed-window mode every barrier is its own publish,
-  /// PR-5 style, which is exactly the overhead the adaptive engine
-  /// amortizes away. Deterministic: depends on simulation data only,
+  /// Windows run, one barrier each (fabric_scale / micro_shard_handoff).
+  /// Deterministic: depends on simulation data and the channel mask only,
   /// never on the pool or thread timing.
-  std::uint64_t windows_run() const { return windows_; }
-  std::uint64_t gang_windows() const { return gang_windows_; }
-  /// Causality barriers crossed: one per sub-round of a batched window,
-  /// per relay hop, and per fixed-mode window. This is the PR-5
-  /// windows_run equivalent — the honest "how many times did shards have
-  /// to exchange and re-extend horizons" count, bounded below by the
-  /// simulation's sequential influence-chain length.
   std::uint64_t sync_rounds() const { return sync_rounds_; }
   std::uint64_t calendar_deliveries() const;
   std::uint64_t cross_shard_handoffs() const;
-  /// Coordinator-level causality checks (always on, expected 0): merges
-  /// behind a shard's horizon / channel-clock regressions.
+  /// Coordinator-level causality check (always on, expected 0): merges
+  /// behind a shard's horizon.
   std::uint64_t merge_causality_violations() const {
     return merge_causality_violations_;
-  }
-  std::uint64_t lookahead_regressions() const {
-    return lookahead_regressions_;
   }
   /// Events (wheel + calendar) executed by shard `i`. The maximum share
   /// bounds the achievable parallel speedup: total / max.
@@ -430,9 +375,6 @@ class ParallelSimulation {
     /// Highest window end this shard was ever released to run under; a
     /// merged arrival below it would be a causality violation.
     Tick ran_to = 0;
-    /// Last incoming channel clock (adaptive mode) for the monotonicity
-    /// check.
-    Tick clock = 0;
     /// Minimum propagation delay of any link with both endpoints on this
     /// shard: how far the wheel may run blind before an event could have
     /// deposited a new arrival into this shard's own calendar.
@@ -442,95 +384,41 @@ class ParallelSimulation {
     std::uint64_t pruned_handoffs = 0;
   };
 
-  /// Sub-round synchronization of one batched (wide) window. The same
-  /// epoch-tagged protocol as WindowGang, one level down: `round` is the
-  /// published sub-round, `claim` packs (round's low 32 bits << 32 | next
-  /// active-shard index), `count` is double-buffered by round parity. The
-  /// participant that completes a sub-round's last shard run becomes the
-  /// closer: it merges staging, recomputes horizons, and either publishes
-  /// the next sub-round or raises window_over. No participant ever
-  /// blocks on another — a lone caller can drain every sub-round itself
-  /// — so helpers are an acceleration, never a liveness requirement.
-  struct BatchState {
-    std::atomic<std::uint64_t> round{0};
-    std::atomic<std::uint64_t> claim{0};
-    std::atomic<std::uint32_t> done{0};
-    std::atomic<int> count[2] = {0, 0};
-    std::atomic<bool> window_over{false};
-  };
-
-  /// Consecutive <= 1-active sub-rounds before a batched window closes
-  /// and hands the run back to the inline relay path (hysteresis so a
-  /// one-sub-round activity dip doesn't churn publish/close cycles).
-  static constexpr int kQuietRoundsToClose = 8;
-
   /// Earliest pending work (wheel or calendar) of one shard.
   Tick ShardNext(Shard& sh) {
     return std::min(sh.sim.scheduler().NextTime(), sh.calendar.NextTime());
   }
 
-  /// Recomputes next_[i] for every shard; returns the global minimum.
-  Tick RefreshNext();
-
-  /// From next_, fills window_ends_ and active_ for one sub-round under
-  /// the adaptive channel-clock rule, maintaining the per-shard clock
-  /// monotonicity check and ran_to horizons. Idempotent for a given
-  /// next_ (recomputing without running in between changes nothing).
-  void ComputeHorizons(Tick dp1);
+  /// W: the minimum delay over the cross-shard channels the mask allows,
+  /// kTickMax when there is none.
+  Tick WindowWidth() const;
 
   /// Runs one shard's slice of the window [*, end): wheel events and
   /// calendar deliveries interleaved in canonical order, deliveries first
   /// at equal ticks.
   void RunShardWindow(int idx, Tick end);
 
-  /// Participant body of a batched window: claim active-shard slots of
-  /// the current sub-round, run them, close the sub-round if last, wait
-  /// for the next sub-round otherwise, until window_over. Executed by
-  /// the caller and (as the adaptive gang task) by pool helpers.
-  void RunBatchWindow(Tick dp1);
-
-  /// Serial step run by the sub-round's closer (single-threaded by
-  /// construction; successive closers are ordered by the round
-  /// publish/acquire chain, so non-atomic coordinator state is safe).
-  void CloseSubRound(std::uint64_t r, Tick dp1);
-
   /// Drains every shard's staging buffer into the destination calendars
   /// (bulk heap repair per calendar), checking each entry against the
   /// destination's run horizon.
   void MergeStaging();
 
-  /// Rebuilds influence_ = min-plus closure of the cross-shard channel
-  /// graph over paths with >= 1 hop. O(S^3), run once per RunUntil.
-  void ComputeInfluenceClosure();
-
   std::uint64_t seed_;
-  Tick lookahead_ = kTickMax;
-  LookaheadMode mode_ = LookaheadMode::kChannelClock;
   SharedSequences sequences_;
   std::atomic<bool> stop_{false};
   bool stopped_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Row-major S x S minimum delay of any single link crossing (i, j),
-  /// kTickMax where no link does; diagonal unused.
+  /// kTickMax where no link does (so always on the diagonal).
   std::vector<Tick> channel_min_;
   /// Row-major S x S channel mask from RestrictChannels (empty = allow
-  /// all). Only the closure seed consults it; channel_min_ keeps the
-  /// physical link delays so the mask can be re-applied or audited.
+  /// all). Only WindowWidth consults it; channel_min_ keeps the physical
+  /// link delays so the mask can be re-applied or audited.
   std::vector<std::uint8_t> channel_allowed_;
-  /// Row-major S x S closure: cheapest >= 1-hop influence path i -> j
-  /// (diagonal = cheapest round trip through other shards).
-  std::vector<Tick> influence_;
-  std::vector<int> active_;  ///< shard ids of the sub-round being run
-  std::vector<Tick> window_ends_;  ///< per-shard end of the current window
-  std::vector<Tick> next_;  ///< per-shard earliest pending, per sub-round
-  BatchState batch_;
-  Tick batch_dp1_ = 0;    ///< deadline + 1 of the window being batched
-  int quiet_rounds_ = 0;  ///< consecutive <= 1-active sub-rounds (closer)
-  std::uint64_t windows_ = 0;
-  std::uint64_t gang_windows_ = 0;
+  std::vector<int> active_;  ///< shard ids of the window being run
+  Tick window_end_ = 0;      ///< end of the window being run
   std::uint64_t sync_rounds_ = 0;
   std::uint64_t merge_causality_violations_ = 0;
-  std::uint64_t lookahead_regressions_ = 0;
   /// Port-gid -> delivery sink, registered at topology construction
   /// (indexed by gid; gids are dense). dst shard rides along for audits.
   std::vector<PacketSink*> port_sinks_;

@@ -3,8 +3,8 @@
 //
 // Partition quality is the dominant parallel-engine cost lever: every
 // packet whose next hop lives on another shard pays the staging-append /
-// calendar-merge path (net/parallel.cc), and the channel-clock closure
-// can only widen windows between shard pairs that exchange little. Three
+// calendar-merge path (net/parallel.cc), and channel pruning can only
+// widen windows when whole shard pairs exchange nothing. Three
 // strategies, from control to production:
 //
 //  - kRandom. Uniform hash placement — the baseline every partitioning

@@ -52,10 +52,6 @@ void Network::ConnectHost(Host& host, Switch& sw,
   host.AttachUplink(host_side, sw, &sw.sim());
   const int sw_port = sw.AddPort(switch_side, host, &host.sim());
   edges_.push_back(Edge{host.id(), sw.id(), -1, sw_port});
-  if (parallel_ != nullptr) {
-    parallel_->ObserveLinkDelay(switch_side.propagation_delay);
-    parallel_->ObserveLinkDelay(host_side.propagation_delay);
-  }
 }
 
 std::pair<int, int> Network::ConnectSwitches(Switch& a, Switch& b,
@@ -63,9 +59,6 @@ std::pair<int, int> Network::ConnectSwitches(Switch& a, Switch& b,
   const int a_port = a.AddPort(config, b, &b.sim());
   const int b_port = b.AddPort(config, a, &a.sim());
   edges_.push_back(Edge{a.id(), b.id(), a_port, b_port});
-  if (parallel_ != nullptr) {
-    parallel_->ObserveLinkDelay(config.propagation_delay);
-  }
   return {a_port, b_port};
 }
 

@@ -23,8 +23,8 @@ class Network {
 
   /// Sharded construction: every node lands on one of the coordinator's
   /// shard Simulators (explicitly via the `shard` argument of
-  /// AddHost/AddSwitch, else round-robin in creation order), links report
-  /// their delay as lookahead, and ports learn their peers' shards.
+  /// AddHost/AddSwitch, else round-robin in creation order), ports report
+  /// their link delay as lookahead and learn their peers' shards.
   explicit Network(ParallelSimulation& parallel);
 
   Network(const Network&) = delete;

@@ -67,9 +67,6 @@ ChurnWorkload::ChurnWorkload(const ChurnConfig& config) : config_(config) {
   const std::vector<int> shard_of = ShardPartitioner::Assign(
       *fabric_, config_.shards, config_.strategy, {}, config_.seed);
   psim_ = std::make_unique<ParallelSimulation>(config_.seed, config_.shards);
-  psim_->set_lookahead_mode(config_.fixed_window_lookahead
-                                ? LookaheadMode::kFixedWindow
-                                : LookaheadMode::kChannelClock);
   net_ = std::make_unique<Network>(*psim_);
   fabric_->Build(*net_, shard_of);
 

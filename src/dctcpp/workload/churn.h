@@ -75,7 +75,6 @@ struct ChurnConfig {
   LinkConfig link;           ///< carries the impairment profile, if any
   int shards = 1;
   PartitionStrategy strategy = PartitionStrategy::kPod;
-  bool fixed_window_lookahead = false;
 
   // --- transport -------------------------------------------------------
   Protocol protocol = Protocol::kDctcpPlus;

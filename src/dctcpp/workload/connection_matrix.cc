@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <utility>
 
 #include "dctcpp/net/parallel.h"
@@ -172,9 +173,6 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
       *fabric, config.shards, config.strategy, matrix.Demand(), config.seed);
 
   ParallelSimulation psim(config.seed, config.shards);
-  psim.set_lookahead_mode(config.fixed_window_lookahead
-                              ? LookaheadMode::kFixedWindow
-                              : LookaheadMode::kChannelClock);
   Network net(psim);
   fabric->Build(net, shard_of);
 
@@ -265,7 +263,11 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
     });
   }
 
+  const auto run_start = std::chrono::steady_clock::now();
   psim.RunUntil(config.time_limit, config.shard_pool);
+  result.run_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - run_start)
+                           .count();
 
   Tick makespan_end = 0;
   Tick first_start = kTickMax;
@@ -298,8 +300,6 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
   for (int s = 0; s < psim.shard_count(); ++s) {
     result.shard_events.push_back(psim.shard_events(s));
   }
-  result.windows_run = psim.windows_run();
-  result.gang_windows = psim.gang_windows();
   result.sync_rounds = psim.sync_rounds();
   result.calendar_deliveries = psim.calendar_deliveries();
   result.cross_shard_handoffs = psim.cross_shard_handoffs();

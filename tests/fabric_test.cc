@@ -338,7 +338,7 @@ TEST(FabricWorkloadTest, BitIdenticalAcrossShardsStrategiesAndPools) {
           << ToString(strategy) << " S=" << shards;
     }
   }
-  // Pool sizes 2 and 8, fixed-window oracle, and pruning off: same run.
+  // Pool sizes 2 and 8, and pruning off: same run.
   for (const int pool_size : {2, 8}) {
     ThreadPool pool(pool_size);
     FabricRunConfig config = base;
@@ -347,10 +347,6 @@ TEST(FabricWorkloadTest, BitIdenticalAcrossShardsStrategiesAndPools) {
     const FabricRunResult r = RunFabricWorkload(config);
     EXPECT_EQ(Fingerprint(r), expected) << "pool=" << pool_size;
   }
-  FabricRunConfig fixed = base;
-  fixed.shards = 4;
-  fixed.fixed_window_lookahead = true;
-  EXPECT_EQ(Fingerprint(RunFabricWorkload(fixed)), expected);
   FabricRunConfig unpruned = base;
   unpruned.shards = 4;
   unpruned.prune_channels = false;
@@ -397,9 +393,11 @@ TEST(ChannelPruningTest, PodAlignedIncastRowsCrossNothing) {
   EXPECT_EQ(r.flows_completed, r.flows);
   EXPECT_TRUE(r.channels_pruned);
   // Rows align with pods and pods align with shards: every off-diagonal
-  // shard pair is traffic-free and pruned, no handoff ever crosses.
+  // shard pair is traffic-free and pruned, no handoff ever crosses, and
+  // with no channel left to bound the window the run is one sync round.
   EXPECT_EQ(r.pruned_pairs, 4 * 4 - 4);
   EXPECT_EQ(r.cross_shard_handoffs, 0u);
+  EXPECT_EQ(r.sync_rounds, 1u);
 }
 
 TEST(ChannelPruningTest, WrongMaskIsDetectedNotSilent) {

@@ -140,12 +140,11 @@ TEST(WindowGangTest, CallerAloneCompletesWhenPoolIsBusy) {
 // --- shard-count determinism ---------------------------------------------
 
 /// Runs `base` at shards {1, 2, 4, 8} with deliberately mismatched pools
-/// (including none at all) — in adaptive channel-clock mode AND with the
-/// fixed-W oracle at shards {1, 4, 8} — and requires one fingerprint
-/// across the whole matrix. The merged ledger is part of the fingerprint,
-/// so the NetworkInvariants merge is covered by the same comparison;
-/// window counters are NOT part of it (they differ by design: that is the
-/// point of adaptive lookahead). Returns the matrix's fingerprint.
+/// (including none at all) and requires one fingerprint across the whole
+/// matrix. The merged ledger is part of the fingerprint, so the
+/// NetworkInvariants merge is covered by the same comparison; sync_rounds
+/// is NOT part of it (it differs across shard counts by design). Returns
+/// the matrix's fingerprint.
 std::uint64_t ExpectShardCountInvariant(FabricRunConfig base,
                                         const char* tag) {
   ThreadPool small_pool(2);
@@ -153,36 +152,29 @@ std::uint64_t ExpectShardCountInvariant(FabricRunConfig base,
   struct Variant {
     int shards;
     ThreadPool* pool;
-    bool fixed_window;
   };
   const Variant variants[] = {
-      {1, nullptr, false},     // degenerate sharding, pure inline
-      {2, &big_pool, false},   // more helpers than shards
-      {4, &small_pool, false},  // fewer helpers than shards
-      {8, &big_pool, false},
-      {1, nullptr, true},      // fixed-W oracle must agree bit for bit
-      {4, &small_pool, true},
-      {8, &big_pool, true},
+      {1, nullptr},      // degenerate sharding, pure inline
+      {2, &big_pool},    // more helpers than shards
+      {4, &small_pool},  // fewer helpers than shards
+      {8, &big_pool},
   };
   std::uint64_t reference = 0;
   int reference_shards = 0;
   for (const Variant& v : variants) {
     base.shards = v.shards;
     base.shard_pool = v.pool;
-    base.fixed_window_lookahead = v.fixed_window;
     const FabricRunResult r = RunFabricWorkload(base);
-    EXPECT_EQ(r.invariant_violations, 0u)
-        << tag << " shards=" << v.shards << " fixed=" << v.fixed_window;
-    EXPECT_EQ(r.flows_completed, r.flows)
-        << tag << " shards=" << v.shards << " fixed=" << v.fixed_window;
+    EXPECT_EQ(r.invariant_violations, 0u) << tag << " shards=" << v.shards;
+    EXPECT_EQ(r.flows_completed, r.flows) << tag << " shards=" << v.shards;
     const std::uint64_t fp = Fingerprint(r);
     if (reference_shards == 0) {
       reference = fp;
       reference_shards = v.shards;
     } else {
-      EXPECT_EQ(fp, reference)
-          << tag << ": shards=" << v.shards << " fixed=" << v.fixed_window
-          << " diverged from shards=" << reference_shards;
+      EXPECT_EQ(fp, reference) << tag << ": shards=" << v.shards
+                               << " diverged from shards="
+                               << reference_shards;
     }
   }
   return reference;
@@ -232,8 +224,8 @@ TEST(ShardDeterminismTest, ImpairedLinks) {
 TEST(ShardDeterminismTest, BurstLossReorderAndFlaps) {
   // Burst loss and reordering plus deterministic link flaps: flaps down a
   // link mid-transfer, stranding packets and forcing RTO recovery — the
-  // slowest, most window-sparse phase the adaptive lookahead has to
-  // chunk identically to the oracle.
+  // slowest, most window-sparse phase every shard count has to chunk
+  // identically.
   FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 7);
   config.link.impairment.ge_p_good_to_bad = 0.002;
   config.link.impairment.ge_p_bad_to_good = 0.3;
@@ -248,48 +240,45 @@ TEST(ShardDeterminismTest, BurstLossReorderAndFlaps) {
   ExpectShardCountInvariant(config, "flaps");
 }
 
-TEST(ChannelClockTest, AdaptiveWindowsAreFarFewerThanFixed) {
-  // On the same run the channel-clock engine must reach the same bytes
-  // with far fewer barriers than the fixed-W oracle. (fabric_scale gates
-  // >= 5x on the k = 16 matrix; this guards the mechanism at test size.)
+TEST(ShardWindowTest, SyncRoundsAreExactAndPrunedRowsRunOneWindow) {
+  // One window rule: W = the cheapest cross-shard channel. On uniform
+  // link delays that is the old topology-wide fixed W, so the barrier
+  // count must equal the fixed-W oracle's, recorded from its last build
+  // (100 windows at S = 4), with or without a pool.
   ThreadPool pool(4);
   FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 21);
   config.shards = 4;
   config.shard_pool = &pool;
-  config.fixed_window_lookahead = true;
-  const FabricRunResult fixed = RunFabricWorkload(config);
-  config.fixed_window_lookahead = false;
-  const FabricRunResult adaptive = RunFabricWorkload(config);
-  EXPECT_EQ(Fingerprint(adaptive), Fingerprint(fixed));
-  ASSERT_GT(fixed.windows_run, 0u);
-  ASSERT_GT(adaptive.windows_run, 0u);
-  EXPECT_LT(adaptive.windows_run * 2, fixed.windows_run)
-      << "adaptive=" << adaptive.windows_run
-      << " fixed=" << fixed.windows_run;
-  // sync_rounds keeps the honest causality-barrier count: batching shrinks
-  // the number of published windows, not the number of barriers, so
-  // sync_rounds must stay in the same regime as the fixed oracle's windows
-  // (it can only be lower via genuinely wider horizons, never by counting).
-  EXPECT_GE(adaptive.sync_rounds, adaptive.windows_run);
-  EXPECT_GT(adaptive.sync_rounds * 2, fixed.windows_run)
-      << "adaptive sync_rounds=" << adaptive.sync_rounds
-      << " fixed windows=" << fixed.windows_run;
-  // windows_run is data-deterministic: publish/segment boundaries are
-  // chosen by the coordinator from simulation state only, so a pool-free
-  // run of the same config must report the identical count.
+  const FabricRunResult pooled = RunFabricWorkload(config);
   config.shard_pool = nullptr;
-  const FabricRunResult serial = RunFabricWorkload(config);
-  EXPECT_EQ(Fingerprint(serial), Fingerprint(adaptive));
-  EXPECT_EQ(serial.windows_run, adaptive.windows_run);
-  EXPECT_EQ(serial.sync_rounds, adaptive.sync_rounds);
+  const FabricRunResult inline_run = RunFabricWorkload(config);
+  EXPECT_EQ(Fingerprint(inline_run), Fingerprint(pooled));
+  EXPECT_EQ(pooled.sync_rounds, 100u);
+  EXPECT_EQ(inline_run.sync_rounds, 100u);
+
+  // Rows aligned with pods under the pod partition: every off-diagonal
+  // shard pair is pruned, nothing bounds W, and the run is one window.
+  FabricRunConfig rows = BaseConfig(Protocol::kDctcpPlus, 7);
+  rows.row_size = 4;  // = hosts_per_pod at k = 4
+  rows.fan_in = 2;
+  rows.shards = 4;
+  rows.strategy = PartitionStrategy::kPod;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    rows.shard_pool = p;
+    const FabricRunResult r = RunFabricWorkload(rows);
+    EXPECT_EQ(r.pruned_pairs, 4 * 4 - 4);
+    EXPECT_EQ(r.sync_rounds, 1u) << "pool=" << (p != nullptr);
+    EXPECT_EQ(r.invariant_violations, 0u);
+    EXPECT_EQ(r.flows_completed, r.flows);
+  }
 }
 
-TEST(ChannelClockTest, ClocksNeverRegress) {
-  // Property: per-shard channel clocks are monotone across windows. The
-  // engine checks every barrier (lookahead_regressions folds into
-  // invariant_violations), so driving an impaired, flapping config at
-  // several shard counts and asserting zero violations exercises the
-  // property over every window of the run.
+TEST(ShardWindowTest, ImpairedFlappingRunsHaveZeroViolations) {
+  // Loss, reordering and link flaps at several shard counts: the engine
+  // checks merge causality (no arrival lands behind the horizon its
+  // destination already ran to) and the pruned-channel mask at every
+  // barrier, both folded into invariant_violations, so asserting zero
+  // violations exercises them over every window of the run.
   for (const int shards : {2, 4, 8}) {
     ThreadPool pool(3);
     FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 29);

@@ -410,7 +410,9 @@ TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
 // A pool far below the offered load (4 slots per host against ~16 live
 // flows per host) drops arrivals and ignores SYNs rather than growing.
 // The counts were recorded when every slot was still built in the
-// constructor; materializing slots on first use must reproduce them.
+// constructor; materializing slots on first use must reproduce them. The
+// fingerprint hashes the checkpoint blob, so it is per format version
+// (recorded at v3).
 TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   ChurnConfig cfg = SmallChurn(1);
   cfg.max_live_per_host = 4;
@@ -430,7 +432,7 @@ TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   EXPECT_EQ(s.events_executed, 33981u);
   EXPECT_EQ(s.packets_forwarded, 15468u);
   EXPECT_EQ(s.violations, 0u);
-  EXPECT_EQ(w.Fingerprint(), 0xe05fca4a1b97c95bull);
+  EXPECT_EQ(w.Fingerprint(), 0x401706341510379full);
   // Never more slots than the pools' capacity: 16 hosts x 4 x 2 sides.
   EXPECT_LE(w.MeasureFootprint().materialized_slots, 128u);
 }
