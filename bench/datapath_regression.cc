@@ -1,48 +1,31 @@
-// Datapath regression harness: fixed-workload timings for the per-packet
-// forwarding path, emitted as JSON so CI (and CHANGES.md) can track
-// packets/sec across PRs. Companion to engine_regression.cc (which covers
-// the scheduler core); this binary covers what sits on top of it: switch
-// queues, link pipelines, and the TCP scoreboards.
+// Datapath harness: the paper's canonical N=40 DCTCP incast, run three
+// times in one process, emitted as JSON. Every run must produce
+// bit-identical simulation results (goodput bits, timeouts, events,
+// packets, rounds): that repeatability gate is the exit status. End-to-end
+// equivalence with earlier datapaths is the golden table's job
+// (tests/golden_test.cc); wall time is compared only by interleaved
+// perfbench runs against the parent commit (DESIGN.md Sec. 7).
 //
-// The headline scenario is the paper's canonical N=40 DCTCP incast, run
-// three times in the same process. Every run must produce bit-identical
-// simulation results (goodput, timeout counts, event counts): that is
-// the repeatability gate; end-to-end equivalence with earlier datapaths is
-// the golden table's job (tests/golden_test.cc). The perf gate scores the
-// fastest of the draws against a recorded same-container baseline.
-//
-// Component microbenchmarks (packet ring, flat vs std::map scoreboard and
-// demux table, ParallelFor dispatch) isolate where time goes; the std::map
-// partners come from tests/reference/.
+// What this harness adds over perfbench is the in-program view: the
+// per-phase cycle split (`profile`, live with -DDCTCPP_PROFILE=ON) and the
+// hardware counters (`hw_counters`) of the first timed run, plus the
+// process's peak RSS.
 //
 // Usage: datapath_regression [--smoke] [output.json]   (default: stdout)
 //
 // scripts/perf_regression.sh builds and runs this and writes
-// BENCH_datapath.json at the repo root. Exit status is nonzero when the
-// repeatability check fails, so the bench-smoke ctest doubles as a gate.
+// BENCH_datapath.json at the repo root; the bench-datapath-smoke ctest
+// runs --smoke as a tier-1 repeatability gate.
 #include <sys/resource.h>
 
 #include <chrono>
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include <unordered_map>
-
-#include "dctcpp/net/packet_ring.h"
-#include "dctcpp/util/flow_table.h"
-#include "dctcpp/util/interval_set.h"
 #include "dctcpp/util/profile.h"
-#include "dctcpp/util/rng.h"
-#include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
-#include "reference/map_flow_table.h"
-#include "reference/map_interval_set.h"
 
 namespace dctcpp {
 namespace {
@@ -53,22 +36,8 @@ double Now() {
       .count();
 }
 
-// Enforced gate baseline: the immediately-pre-PR binary (commit 3eb2780)
-// running this harness's full canonical scenario on the CURRENT CI
-// container, re-recorded from a clean tree at the start of the burst-
-// pipeline PR as the mean of five warm ring-mode runs (intra-process
-// warm-up makes the first run ~20% slow, so single-run baselines lie).
-// Earlier revisions additionally embedded seed-binary and PR-2 numbers
-// measured on a *different, faster machine*; those cross-machine ratios
-// silently read < 1.0x and have been dropped — git history has them, and
-// the JSON now carries only same-container comparisons. Exit is nonzero
-// below the threshold (full mode only; --smoke rounds are too short to
-// time honestly).
-constexpr double kGateBaselinePacketsPerSec = 6'320'171.0;
-constexpr double kGateMinSpeedup = 1.25;
-
 struct IncastTiming {
-  std::string mode;
+  std::string run;
   double seconds = 0.0;
   std::uint64_t packets = 0;
   std::uint64_t events = 0;
@@ -92,142 +61,16 @@ IncastConfig CanonicalConfig(int rounds) {
   return config;
 }
 
-IncastTiming TimedIncast(const char* mode, int rounds) {
+IncastTiming TimedIncast(const char* run, int rounds) {
   prof::Reset();
   prof::HwReset();
   const double start = Now();
   const IncastResult r = RunIncast(CanonicalConfig(rounds));
   const double seconds = Now() - start;
-  return IncastTiming{mode,      seconds,           r.packets_forwarded,
+  return IncastTiming{run,       seconds,           r.packets_forwarded,
                       r.events,  r.goodput_mbps,    r.timeouts,
                       r.rounds_completed,           prof::Snapshot(),
                       prof::HwSnapshot()};
-}
-
-struct MicroResult {
-  std::string name;
-  std::uint64_t ops = 0;
-  double seconds = 0.0;
-
-  double OpsPerSec() const { return ops / seconds; }
-};
-
-/// Bursty FIFO traffic shaped like a switch port under incast: push a
-/// fan-in burst, drain it, repeat. Exercises wrap-around continuously.
-MicroResult FifoPushPop(const char* name, std::uint64_t total) {
-  PacketRing fifo;
-  Packet pkt;
-  pkt.payload = kMss;
-  std::uint64_t checksum = 0;
-  const double start = Now();
-  std::uint64_t done = 0;
-  while (done < total) {
-    for (int burst = 0; burst < 40; ++burst) {
-      pkt.uid = done + static_cast<std::uint64_t>(burst);
-      fifo.PushBack(pkt);
-    }
-    while (!fifo.Empty()) {
-      checksum += fifo.Front().uid;
-      fifo.PopFront();
-    }
-    done += 40;
-  }
-  const double seconds = Now() - start;
-  if (checksum == ~0ull) std::fprintf(stderr, "impossible\n");
-  return MicroResult{name, done, seconds};
-}
-
-/// Scoreboard churn shaped like SACK processing: random segment-sized adds
-/// with periodic cumulative-ACK trims.
-template <typename SetT>
-MicroResult ScoreboardChurn(const char* name, std::uint64_t total) {
-  Rng rng(7);
-  SetT set;
-  std::int64_t acked = 0;
-  const double start = Now();
-  for (std::uint64_t i = 0; i < total; ++i) {
-    const std::int64_t seg =
-        acked + 1460 * static_cast<std::int64_t>(rng.UniformInt(1, 64));
-    set.Add(seg, seg + 1460);
-    if ((i & 31u) == 31u) {
-      acked += 1460 * 16;
-      set.TrimBelow(acked);
-    }
-  }
-  return MicroResult{name, total, Now() - start};
-}
-
-/// Flow-table lookup shaped like steady-state demux: N live connections
-/// (the canonical incast's fan-in), lookups cycling over all of them plus
-/// an occasional miss, exactly the Host::Deliver probe sequence.
-template <typename TableT>
-MicroResult DemuxLookup(const char* name, int flows, std::uint64_t total) {
-  TableT table;
-  std::vector<std::uint64_t> keys;
-  Rng rng(11);
-  for (int i = 0; i < flows; ++i) {
-    const std::uint64_t key =
-        PackFlowKey(static_cast<PortNum>(10000 + i),
-                    static_cast<NodeId>(1 + i % 9),
-                    static_cast<PortNum>(5000 + i % 7));
-    table.Insert(key, static_cast<std::uint32_t>(i));
-    keys.push_back(key);
-  }
-  std::uint64_t checksum = 0;
-  const double start = Now();
-  for (std::uint64_t i = 0; i < total; ++i) {
-    const std::uint64_t key = (i & 63u) == 63u
-                                  ? PackFlowKey(9, 9, 9)  // miss -> listener
-                                  : keys[i % keys.size()];
-    if (const std::uint32_t* v = table.Find(key)) checksum += *v;
-  }
-  const double seconds = Now() - start;
-  if (checksum == ~0ull) std::fprintf(stderr, "impossible\n");
-  return MicroResult{name, total, seconds};
-}
-
-/// Switch forwarding decision: dense NodeId-indexed vector (the production
-/// routing table) vs the unordered_map it replaced.
-MicroResult RouteDense(std::uint64_t total, int nodes) {
-  std::vector<std::int32_t> routes(nodes);
-  for (int i = 0; i < nodes; ++i) routes[i] = i % 8;
-  std::uint64_t checksum = 0;
-  const double start = Now();
-  for (std::uint64_t i = 0; i < total; ++i) {
-    checksum += static_cast<std::uint64_t>(routes[i % nodes]);
-  }
-  const double seconds = Now() - start;
-  if (checksum == ~0ull) std::fprintf(stderr, "impossible\n");
-  return MicroResult{"route_dense_vector", total, seconds};
-}
-
-MicroResult RouteHashMap(std::uint64_t total, int nodes) {
-  std::unordered_map<NodeId, std::int32_t> routes;
-  for (int i = 0; i < nodes; ++i) routes[i] = i % 8;
-  std::uint64_t checksum = 0;
-  const double start = Now();
-  for (std::uint64_t i = 0; i < total; ++i) {
-    checksum += static_cast<std::uint64_t>(
-        routes.find(static_cast<NodeId>(i % nodes))->second);
-  }
-  const double seconds = Now() - start;
-  if (checksum == ~0ull) std::fprintf(stderr, "impossible\n");
-  return MicroResult{"route_unordered_map", total, seconds};
-}
-
-/// ParallelFor dispatch overhead: many tiny bodies, so the timing is the
-/// claim/complete machinery rather than the work.
-MicroResult DispatchOverhead(std::uint64_t tasks) {
-  ThreadPool pool;
-  // Relaxed stores: the cheapest body that the compiler can't delete and
-  // TSan has nothing to say about (adjacent indices land on one line, so
-  // plain stores would race across workers).
-  std::vector<std::atomic<std::uint64_t>> sink(256);
-  const double start = Now();
-  ParallelFor(pool, tasks, [&sink](std::size_t i) {
-    sink[i & 255].store(i, std::memory_order_relaxed);
-  });
-  return MicroResult{"parallel_for_dispatch", tasks, Now() - start};
 }
 
 long PeakRssKb() {
@@ -238,12 +81,12 @@ long PeakRssKb() {
 
 void WriteIncast(std::FILE* out, const IncastTiming& t, const char* trail) {
   std::fprintf(out,
-               "    {\"mode\": \"%s\", \"seconds\": %.6f, "
+               "    {\"run\": \"%s\", \"seconds\": %.6f, "
                "\"packets\": %llu, \"packets_per_sec\": %.0f, "
                "\"events\": %llu, \"events_per_sec\": %.0f, "
                "\"goodput_mbps\": %.1f, \"timeouts\": %llu, "
                "\"rounds\": %llu}%s\n",
-               t.mode.c_str(), t.seconds,
+               t.run.c_str(), t.seconds,
                static_cast<unsigned long long>(t.packets), t.PacketsPerSec(),
                static_cast<unsigned long long>(t.events), t.EventsPerSec(),
                t.goodput_mbps, static_cast<unsigned long long>(t.timeouts),
@@ -262,82 +105,23 @@ int Main(int argc, char** argv) {
   }
 
   const int rounds = smoke ? 30 : 300;
-  const std::uint64_t micro_ops = smoke ? 400'000 : 4'000'000;
 
   // Warm-up run so first-touch page faults (node pools, ring growth) don't
-  // bias whichever mode is measured first.
+  // bias the first timed run.
   TimedIncast("warmup", smoke ? 5 : 30);
 
-  const IncastTiming optimized = TimedIncast("ring", rounds);
-  // The micro suite runs between the draws: the host occasionally enters
-  // multi-second slow windows (observed +-15% on this container), and
-  // draws taken seconds apart decorrelate against them.
-  std::vector<MicroResult> micro;
-  micro.push_back(FifoPushPop("fifo_ring", micro_ops));
-  micro.push_back(
-      ScoreboardChurn<IntervalSet>("scoreboard_flat", micro_ops / 4));
-  micro.push_back(
-      ScoreboardChurn<MapIntervalSet>("scoreboard_map", micro_ops / 4));
-  micro.push_back(DispatchOverhead(smoke ? 20'000 : 200'000));
-  const IncastTiming ring_mid = TimedIncast("ring_mid", rounds);
-  micro.push_back(DemuxLookup<FlatFlowTable<std::uint32_t>>(
-      "demux_flat_n40", 40, micro_ops));
-  micro.push_back(DemuxLookup<MapFlowTable<std::uint32_t>>(
-      "demux_map_n40", 40, micro_ops));
-  micro.push_back(DemuxLookup<FlatFlowTable<std::uint32_t>>(
-      "demux_flat_n1400", 1400, micro_ops));
-  micro.push_back(DemuxLookup<MapFlowTable<std::uint32_t>>(
-      "demux_map_n1400", 1400, micro_ops));
-  micro.push_back(RouteDense(micro_ops, 64));
-  micro.push_back(RouteHashMap(micro_ops, 64));
-  // Third draw, last in the process. Two jobs: (a) the repeatability gate
-  // below (a use-after-free or stray global would likely break
-  // self-agreement first), and (b) the perf gate scores the best of the
-  // three draws — container noise (neighbor load, frequency steps) only
-  // ever subtracts throughput, so max-of-N is the standard way to damp
-  // false gate failures without inflating what the number claims.
-  const IncastTiming ring_rerun = TimedIncast("ring_rerun", rounds);
-
-  const auto matches = [&optimized](const IncastTiming& other) {
-    return optimized.goodput_mbps == other.goodput_mbps &&
-           optimized.timeouts == other.timeouts &&
-           optimized.events == other.events &&
-           optimized.packets == other.packets &&
-           optimized.rounds == other.rounds;
-  };
-  bool deterministic = matches(ring_mid) && matches(ring_rerun);
-
-  // Perf-gate noise damping (full mode only). The gate compares against a
-  // frozen same-container baseline, and this container exhibits
-  // multi-second host-level slow windows (~+-15% throughput, with user
-  // CPU time tracking wall time — so invisible to guest accounting) that
-  // a single burst of draws can't dodge. On a miss with clean
-  // determinism, sleep past the window and redraw, up to five times.
-  // Every extra draw must stay bit-identical and is reported in the JSON,
-  // so the scored number remains "best observed throughput over N
-  // identical runs" — max-of-N is honest because noise only ever
-  // subtracts from a deterministic workload's throughput.
-  double gate_pps =
-      std::max({optimized.PacketsPerSec(), ring_mid.PacketsPerSec(),
-                ring_rerun.PacketsPerSec()});
-  std::vector<IncastTiming> gate_retries;
-  static const char* const kRetryNames[] = {"ring_retry1", "ring_retry2",
-                                            "ring_retry3", "ring_retry4",
-                                            "ring_retry5"};
-  while (!smoke && deterministic &&
-         gate_pps < kGateMinSpeedup * kGateBaselinePacketsPerSec &&
-         gate_retries.size() < 5) {
-    std::this_thread::sleep_for(std::chrono::seconds(5));
-    gate_retries.push_back(
-        TimedIncast(kRetryNames[gate_retries.size()], rounds));
-    if (!matches(gate_retries.back())) {
-      deterministic = false;
-    } else {
-      gate_pps = std::max(gate_pps, gate_retries.back().PacketsPerSec());
-    }
+  // Three timed runs in one process. A use-after-free or stray global
+  // would likely break self-agreement first.
+  const IncastTiming runs[] = {TimedIncast("run1", rounds),
+                               TimedIncast("run2", rounds),
+                               TimedIncast("run3", rounds)};
+  const IncastTiming& first = runs[0];
+  bool deterministic = true;
+  for (const IncastTiming& r : runs) {
+    deterministic = deterministic && r.goodput_mbps == first.goodput_mbps &&
+                    r.timeouts == first.timeouts && r.events == first.events &&
+                    r.packets == first.packets && r.rounds == first.rounds;
   }
-  const double gate_speedup = gate_pps / kGateBaselinePacketsPerSec;
-  const int gate_draws = 3 + static_cast<int>(gate_retries.size());
 
   std::FILE* out = stdout;
   if (out_path != nullptr) {
@@ -351,45 +135,23 @@ int Main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"scenario\": \"incast_dctcp_n40\",\n");
   std::fprintf(out, "  \"rounds\": %d,\n", rounds);
   std::fprintf(out, "  \"incast\": [\n");
-  WriteIncast(out, optimized, ",");
-  WriteIncast(out, ring_mid, ",");
-  WriteIncast(out, ring_rerun, gate_retries.empty() ? "" : ",");
-  for (std::size_t i = 0; i < gate_retries.size(); ++i) {
-    WriteIncast(out, gate_retries[i],
-                i + 1 < gate_retries.size() ? "," : "");
-  }
+  WriteIncast(out, runs[0], ",");
+  WriteIncast(out, runs[1], ",");
+  WriteIncast(out, runs[2], "");
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"determinism\": {\"match\": %s, "
                "\"goodput_mbps\": %.1f, \"timeouts\": %llu},\n",
-               deterministic ? "true" : "false", optimized.goodput_mbps,
-               static_cast<unsigned long long>(optimized.timeouts));
-  // Cross-machine historical baselines (seed commit 5929353, PR-2 commit
-  // bd01566) used to be embedded here; their ratios silently read < 1.0x
-  // on slower containers and misled readers into seeing a regression. The
-  // enforced gate below compares only against a same-container, clean-tree
-  // re-recording (see scripts/perf_regression.sh); git history retains the
-  // old numbers.
-  std::fprintf(out,
-               "  \"gate\": {\"baseline_commit\": \"3eb2780\", "
-               "\"baseline_packets_per_sec\": %.0f, \"min_speedup\": %.2f, "
-               "\"speedup\": %.2f, \"ring_best_of\": %d, \"enforced\": %s, "
-               "\"note\": "
-               "\"same-container pre-PR measurement, mean of 5 warm runs "
-               "from a clean tree; speedup scores the fastest ring draw "
-               "(three always, plus up to five sleep-spaced retries on a "
-               "miss, all bit-identical; noise only subtracts); nonzero "
-               "exit below min_speedup in full mode\"},\n",
-               kGateBaselinePacketsPerSec, kGateMinSpeedup, gate_speedup,
-               gate_draws, smoke ? "false" : "true");
-  // Per-phase cycle breakdown of the production-mode run. All-zero (and
+               deterministic ? "true" : "false", first.goodput_mbps,
+               static_cast<unsigned long long>(first.timeouts));
+  // Per-phase cycle breakdown of the first timed run. All-zero (and
   // "enabled": false) unless built with -DDCTCPP_PROFILE=ON; the phases are
   // exclusive self-times, so they sum to the measured total.
   std::fprintf(out, "  \"profile\": {\"enabled\": %s, \"unit\": \"%s\"",
                prof::kEnabled ? "true" : "false",
                "tsc_cycles");
   if (prof::kEnabled) {
-    const prof::Counters& c = optimized.profile;
+    const prof::Counters& c = first.profile;
     const double total =
         c.TotalCycles() > 0 ? static_cast<double>(c.TotalCycles()) : 1.0;
     std::fprintf(out, ", \"phases\": [\n");
@@ -407,13 +169,13 @@ int Main(int argc, char** argv) {
   } else {
     std::fprintf(out, "},\n");
   }
-  // Hardware counters for the production-mode run. "available": false with
+  // Hardware counters for the first timed run. "available": false with
   // the reason when the build has no profiler or perf_event_open is denied
   // (perf_event_paranoid, seccomp, no PMU) — the bench and CI stay green
   // either way. Per-phase rows appear only in rdpmc mode; totals are exact
   // whenever the events opened at all.
   {
-    const prof::HwSnapshotData& hw = optimized.hw;
+    const prof::HwSnapshotData& hw = first.hw;
     std::fprintf(out,
                  "  \"hw_counters\": {\"available\": %s, \"status\": \"%s\", "
                  "\"per_phase\": %s",
@@ -435,7 +197,7 @@ int Main(int argc, char** argv) {
     if (hw.available && hw.per_phase) {
       std::fprintf(out, ",\n    \"phases\": [\n");
       for (int p = 0; p < prof::kNumPhases; ++p) {
-        const prof::HwCounts& c = optimized.hw.phase[p];
+        const prof::HwCounts& c = hw.phase[p];
         const double pc = static_cast<double>(c.cycles);
         std::fprintf(out,
                      "      {\"phase\": \"%s\", \"cycles\": %llu, "
@@ -454,16 +216,6 @@ int Main(int argc, char** argv) {
       std::fprintf(out, "},\n");
     }
   }
-  std::fprintf(out, "  \"micro\": [\n");
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    const MicroResult& m = micro[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"ops\": %llu, "
-                 "\"seconds\": %.6f, \"ops_per_sec\": %.0f}%s\n",
-                 m.name.c_str(), static_cast<unsigned long long>(m.ops),
-                 m.seconds, m.OpsPerSec(), i + 1 < micro.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"peak_rss_kb\": %ld\n}\n", PeakRssKb());
   if (out != stdout) std::fclose(out);
@@ -472,15 +224,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "datapath_regression: DETERMINISM FAILURE — repeated "
                  "runs diverged\n");
-    return 1;
-  }
-  if (!smoke && gate_speedup < kGateMinSpeedup) {
-    std::fprintf(stderr,
-                 "datapath_regression: PERF GATE FAILURE — %.0f packets/s "
-                 "(best of %d ring runs) is %.2fx the pre-PR baseline "
-                 "(%.0f), need >= %.2fx\n",
-                 gate_pps, gate_draws, gate_speedup,
-                 kGateBaselinePacketsPerSec, kGateMinSpeedup);
     return 1;
   }
   return 0;

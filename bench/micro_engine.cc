@@ -1,25 +1,30 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: event
-// scheduling, queue operations, RNG, the TCP send/ACK loop, and a full
-// small incast round. These guard the engine's throughput (a full Fig 7
-// sweep executes hundreds of millions of events).
+// scheduling, queue operations, the SACK scoreboard, RNG, ParallelFor
+// dispatch and a full small incast round. These guard the engine's
+// throughput (a full Fig 7 sweep executes hundreds of millions of events).
 //
-// The scheduler benchmarks are templated over both engine backends so the
-// timer wheel's margin over the reference heap stays measurable:
-//   BM_SchedulerPushPopT<HeapScheduler> vs <TimerWheelScheduler>, and the
+// Production structures are paired with the tests/reference/ partners
+// they replaced, so the margin stays measurable:
+//   BM_SchedulerPushPopT<HeapScheduler> vs <TimerWheelScheduler>, the
 //   cancel-heavy BM_SchedulerRtoChurnT (the Misund "Disentangling Flaws in
 //   Linux DCTCP" pattern: every ACK cancels and re-arms an RTO that almost
-//   never fires). bench/engine_regression.cc records the same scenarios
-//   into BENCH_engine.json for the perf trajectory across PRs.
+//   never fires), and BM_ScoreboardChurnT<IntervalSet> vs
+//   <MapIntervalSet>. Wall time between commits is compared with
+//   perfbench, not with numbers recorded here.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <vector>
 
 #include "dctcpp/net/queue.h"
 #include "dctcpp/sim/scheduler.h"
 #include "dctcpp/sim/simulator.h"
+#include "dctcpp/util/interval_set.h"
 #include "dctcpp/util/rng.h"
+#include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
 #include "reference/heap_scheduler.h"
+#include "reference/map_interval_set.h"
 
 namespace dctcpp {
 namespace {
@@ -108,6 +113,47 @@ void BM_QueueEnqueueDequeue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueueEnqueueDequeue);
+
+/// Scoreboard churn shaped like SACK processing: random segment-sized adds
+/// with a cumulative-ACK trim every 32 adds.
+template <typename SetT>
+void BM_ScoreboardChurnT(benchmark::State& state) {
+  Rng rng(7);
+  SetT set;
+  std::int64_t acked = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const std::int64_t seg =
+        acked + 1460 * static_cast<std::int64_t>(rng.UniformInt(1, 64));
+    set.Add(seg, seg + 1460);
+    if ((++i & 31u) == 0) {
+      acked += 1460 * 16;
+      set.TrimBelow(acked);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_ScoreboardChurnT, IntervalSet);
+BENCHMARK_TEMPLATE(BM_ScoreboardChurnT, MapIntervalSet);
+
+/// ParallelFor dispatch overhead: many tiny bodies, so the timing is the
+/// claim/complete machinery rather than the work.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const auto tasks = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool;
+  // Relaxed stores: the cheapest body that the compiler can't delete and
+  // TSan has nothing to say about (adjacent indices land on one line, so
+  // plain stores would race across workers).
+  std::vector<std::atomic<std::uint64_t>> sink(256);
+  for (auto _ : state) {
+    ParallelFor(pool, tasks, [&sink](std::size_t i) {
+      sink[i & 255].store(i, std::memory_order_relaxed);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tasks));
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(20'000);
 
 void BM_RngUniformInt(benchmark::State& state) {
   Rng rng(1);

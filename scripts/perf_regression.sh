@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# Builds and runs the fixed-workload performance harnesses:
-#   - engine_regression   -> BENCH_engine.json   (scheduler core)
-#   - datapath_regression -> BENCH_datapath.json (per-packet datapath)
+# Builds and runs the fixed-workload harnesses, one BENCH file each:
+#   - datapath_regression -> BENCH_datapath.json (N=40 repeatability gate,
+#                                                 per-phase profile)
 #   - soak_impairment     -> BENCH_soak.json     (fault-profile sweep)
 #   - fabric_scale        -> BENCH_fabric.json   (topologies+partitioning)
 #   - soak_churn          -> BENCH_churn.json    (flow churn + checkpoint)
-# and records one manifest row per bench — wall-clock seconds and peak
-# RSS — in BENCH_manifest.json, so a perf regression in *any* harness
-# (time or memory) shows up in a single diffable file. Numbers feed
-# DESIGN.md's performance sections and the acceptance gates (>=2x
-# wheel-vs-heap, >=1.5x datapath packets/sec vs the pre-PR baseline,
-# shard determinism, >=3x cross-shard reduction). datapath_regression,
-# soak_impairment, and fabric_scale exit nonzero when their determinism
-# gates fail, which fails this script too.
+#   - scale_large_n       -> BENCH_scale.json    (incast up to N=12,000)
+# and records one manifest row per bench (wall-clock seconds, peak RSS,
+# commit) in BENCH_manifest.json, stamped with the hardware it ran on.
+# Every harness exits nonzero when one of its gates fails, which fails
+# this script too; nothing is retried. Wall time between commits is
+# compared by interleaved perfbench runs (DESIGN.md Sec. 7), not by
+# diffing these files.
 #
 # A manifest recorded from a tree with uncommitted changes is not a
 # baseline — its rows can't be reproduced from any commit — so a dirty
@@ -33,8 +32,14 @@ for arg in "$@"; do
 done
 [ -n "$build_dir" ] || build_dir="$repo_root/build"
 
-if [ -n "$(git -C "$repo_root" status --porcelain 2>/dev/null)" ] &&
-   [ "$allow_dirty" != true ]; then
+# Code identity for the manifest rows: which commit produced these numbers,
+# and whether the tree carried uncommitted changes on top of it.
+git_commit="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
+git_dirty=false
+if [ -n "$(git -C "$repo_root" status --porcelain 2>/dev/null)" ]; then
+  git_dirty=true
+fi
+if [ "$git_dirty" = true ] && [ "$allow_dirty" != true ]; then
   echo "perf_regression: working tree is dirty — a baseline must be" >&2
   echo "reproducible from a commit. Commit first, or pass --allow-dirty" >&2
   echo "to record anyway (rows will be marked \"dirty\": true)." >&2
@@ -43,176 +48,53 @@ fi
 
 # No explicit build type: the top-level CMakeLists defaults to
 # RelWithDebInfo, and an existing build dir keeps its configuration.
-expected_benches=(engine_regression datapath_regression soak_impairment
-  fabric_scale soak_churn micro_demux micro_shard_handoff)
+benches=(datapath_regression soak_impairment fabric_scale soak_churn
+  scale_large_n)
+outputs=(BENCH_datapath.json BENCH_soak.json BENCH_fabric.json
+  BENCH_churn.json BENCH_scale.json)
 cmake -S "$repo_root" -B "$build_dir" >/dev/null
-cmake --build "$build_dir" --target "${expected_benches[@]}" -j >/dev/null
+cmake --build "$build_dir" --target "${benches[@]}" -j >/dev/null
 
-# A stale build dir can leave old binaries behind while a target silently
-# vanishes from the build (renamed, disabled by a config knob): verify
-# every expected bench binary actually exists before measuring anything.
-missing=0
-for bench in "${expected_benches[@]}"; do
-  if [ ! -x "$build_dir/bench/$bench" ]; then
-    echo "perf_regression: expected bench binary missing: $build_dir/bench/$bench" >&2
-    missing=1
-  fi
-done
-if [ "$missing" -ne 0 ]; then
-  echo "perf_regression: aborting — bench binaries failed to build" >&2
-  exit 1
-fi
-
-# Code identity for the manifest rows: which commit produced these numbers,
-# and whether the tree carried uncommitted changes on top of it.
-git_commit="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
-git_dirty=false
-if [ -n "$(git -C "$repo_root" status --porcelain 2>/dev/null)" ]; then
-  git_dirty=true
-fi
-
-python_bin=""
-if command -v python3 >/dev/null 2>&1; then
-  python_bin="python3"
-fi
-
+# Runs each bench in a python3 parent that records the child's wall clock
+# and peak RSS (ru_maxrss, KiB) as one manifest row.
 manifest_rows=()
-
-# run_bench <name> <cmd...>: runs the bench, appending a manifest row with
-# wall-clock and peak RSS. Peak RSS (ru_maxrss of the child, KiB) needs a
-# python3; without one the column records -1 and only wall time is kept.
-# Returns the bench's own exit status — under `set -e` a bare call still
-# fails the script, while callers that need to inspect the failure (the
-# datapath retry below) can wrap the call in a conditional.
-run_bench() {
-  local name="$1"
-  shift
-  local wall rss rc=0
-  if [ -n "$python_bin" ]; then
-    local metrics
-    metrics="$(mktemp)"
-    "$python_bin" - "$metrics" "$@" <<'EOF' || rc=$?
-import resource
-import subprocess
-import sys
-import time
-
-metrics_path = sys.argv[1]
+hw_counters="unavailable"
+for i in "${!benches[@]}"; do
+  name="${benches[$i]}"
+  out="$repo_root/${outputs[$i]}"
+  read -r wall rss < <(python3 - "$build_dir/bench/$name" "$out" <<'EOF'
+import resource, subprocess, sys, time
 t0 = time.monotonic()
-rc = subprocess.call(sys.argv[2:])
+rc = subprocess.call(sys.argv[1:], stdout=sys.stderr)
 wall = time.monotonic() - t0
 rss_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-with open(metrics_path, "w") as f:
-    f.write(f"{wall:.3f} {rss_kib}\n")
-sys.exit(rc)
+print(f"{wall:.3f} {rss_kib}" if rc == 0 else "fail fail")
 EOF
-    read -r wall rss <"$metrics" || { wall=-1; rss=-1; }
-    rm -f "$metrics"
-  else
-    local t0=$SECONDS
-    "$@" || rc=$?
-    wall=$((SECONDS - t0))
-    rss=-1
+  )
+  if [ "$wall" = fail ]; then
+    echo "perf_regression: $name failed its gates" >&2
+    exit 1
   fi
-  manifest_rows+=("    {\"bench\": \"$name\", \"wall_seconds\": $wall, \"peak_rss_kib\": $rss, \"commit\": \"$git_commit\", \"dirty\": $git_dirty}")
-  echo "[$name] wall=${wall}s peak_rss=${rss}KiB commit=${git_commit:0:12} dirty=$git_dirty"
-  return $rc
-}
-
-run_bench engine_regression \
-  "$build_dir/bench/engine_regression" "$repo_root/BENCH_engine.json"
-echo "Wrote $repo_root/BENCH_engine.json"
-# The datapath perf gate scores wall-clock throughput against a frozen
-# same-container baseline (bench/datapath_regression.cc). This container
-# exhibits multi-second host-level slow windows (~+-15% throughput,
-# invisible to guest CPU accounting) that can push an honest improvement
-# below the bar even with the bench's own best-of-3 ring sampling, so a
-# perf-only miss is re-measured up to two more times. A determinism
-# failure is a real bug and fails immediately — never retried.
-datapath_ok=false
-for attempt in 1 2 3; do
-  if run_bench datapath_regression \
-      "$build_dir/bench/datapath_regression" "$repo_root/BENCH_datapath.json"; then
-    datapath_ok=true
-    break
-  fi
-  if [ -n "$python_bin" ]; then
-    if ! "$python_bin" - "$repo_root/BENCH_datapath.json" <<'EOF'
+  if [ "$name" = datapath_regression ]; then
+    # Hardware-counter availability: read back what the datapath harness
+    # probed (perf_event_open succeeds or degrades per container), so a
+    # manifest diff shows whether two runs had the same observability.
+    # "unavailable" is normal in unprivileged containers and in
+    # non-profile builds.
+    hw_counters="$(python3 - "$out" <<'EOF'
 import json, sys
-try:
-    d = json.load(open(sys.argv[1]))
-except Exception:
-    sys.exit(1)
-sys.exit(0 if d.get("determinism", {}).get("match") else 1)
-EOF
-    then
-      echo "perf_regression: datapath determinism failure — not retrying" >&2
-      exit 1
-    fi
-  fi
-  # Keep one manifest row per bench: drop the failed attempt's row.
-  unset 'manifest_rows[${#manifest_rows[@]}-1]'
-  echo "perf_regression: datapath perf gate missed on attempt $attempt" \
-    "(determinism clean) — re-measuring" >&2
-done
-if [ "$datapath_ok" != true ]; then
-  echo "perf_regression: datapath perf gate failed on 3 attempts" >&2
-  exit 1
-fi
-echo "Wrote $repo_root/BENCH_datapath.json"
-
-# Hardware-counter availability for this run's rows: read back what the
-# datapath harness just probed (perf_event_open succeeds or degrades per
-# container), so a manifest diff shows whether two runs had the same
-# observability — a row measured blind (no counters) is not directly
-# comparable to one tuned with them. "unavailable" is normal in
-# unprivileged containers and in non-profile builds.
-hw_counters="unavailable"
-if [ -n "$python_bin" ]; then
-  hw_counters="$("$python_bin" - "$repo_root/BENCH_datapath.json" <<'EOF'
-import json, sys
-try:
-    hw = json.load(open(sys.argv[1])).get("hw_counters", {})
-    if hw.get("available"):
-        print("per_phase" if hw.get("per_phase") else "totals_only")
-    else:
-        print("unavailable")
-except Exception:
+hw = json.load(open(sys.argv[1]))["hw_counters"]
+if hw["available"]:
+    print("per_phase" if hw["per_phase"] else "totals_only")
+else:
     print("unavailable")
 EOF
 )"
-fi
+  fi
+  manifest_rows+=("    {\"bench\": \"$name\", \"output\": \"${outputs[$i]}\", \"wall_seconds\": $wall, \"peak_rss_kib\": $rss, \"commit\": \"$git_commit\", \"dirty\": $git_dirty}")
+  echo "[$name] wall=${wall}s peak_rss=${rss}KiB -> ${outputs[$i]}"
+done
 echo "hw counters: $hw_counters"
-# Full impairment matrix with the invariant checker armed; exits nonzero
-# (failing this script) on any invariant violation, or if the same seed is
-# not bit-identical across 1/2/8-thread pools.
-run_bench soak_impairment \
-  "$build_dir/bench/soak_impairment" "$repo_root/BENCH_soak.json"
-echo "Wrote $repo_root/BENCH_soak.json"
-# Fabric topologies + partitioning: strategy x shard determinism matrix,
-# cross-shard-fraction, channel-pruning, exact sync-round and multicore
-# speedup gates, and the 50k-host
-# fat-tree permutation / 2048-fan-in incast sweep with the compact-routing
-# memory gate.
-run_bench fabric_scale \
-  "$build_dir/bench/fabric_scale" "$repo_root/BENCH_fabric.json"
-echo "Wrote $repo_root/BENCH_fabric.json"
-# Churn soak: 100k-live-flow M/G/inf churn with the checkpoint/restore
-# fidelity matrix (shards x pools x impairment profiles), the mid-soak
-# save/restore cycle, and the bytes-per-flow footprint gate. Exits nonzero
-# on any gate failure or invariant violation.
-run_bench soak_churn \
-  "$build_dir/bench/soak_churn" "$repo_root/BENCH_churn.json"
-echo "Wrote $repo_root/BENCH_churn.json"
-# Control-plane microbenchmarks (flat-vs-map demux, burst-demux run cache
-# at run lengths 1/4/16, dense-vs-hash routing, arena-vs-heap setup);
-# console output only, the regression numbers of record live in
-# BENCH_datapath.json's micro section.
-run_bench micro_demux "$build_dir/bench/micro_demux" --benchmark_min_time=0.05
-# Parallel-engine overheads: mailbox merge cost per handoff and gang
-# barrier latency per window.
-run_bench micro_shard_handoff \
-  "$build_dir/bench/micro_shard_handoff" --benchmark_min_time=0.05
 
 # Machine identity for honest cross-run comparison: a timing diff between
 # two manifests only means something when cores, CPU model, and frequency
@@ -233,14 +115,12 @@ manifest="$repo_root/BENCH_manifest.json"
   echo "  \"commit\": \"$git_commit\","
   echo "  \"dirty\": $git_dirty,"
   echo "  \"benches\": ["
+  last=$((${#manifest_rows[@]} - 1))
   for i in "${!manifest_rows[@]}"; do
-    # Every row carries the run's counter availability (probed once, above:
-    # all benches in one invocation share the container's perf access).
-    row="${manifest_rows[$i]%\}}, \"hw_counters\": \"$hw_counters\"}"
-    if [ "$i" -lt $((${#manifest_rows[@]} - 1)) ]; then
-      echo "$row,"
+    if [ "$i" -lt "$last" ]; then
+      echo "${manifest_rows[$i]},"
     else
-      echo "$row"
+      echo "${manifest_rows[$i]}"
     fi
   done
   echo "  ]"

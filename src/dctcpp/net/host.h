@@ -71,15 +71,6 @@ class Host : public PacketSink, public Checkpointable {
 
   void Deliver(const Packet& pkt) override;
 
-  /// Pulls the demux probe chain for `pkt`'s flow into cache ahead of its
-  /// Deliver (see PacketSink::PrefetchDeliver). The one-entry demux cache
-  /// makes this redundant within a per-flow run; it pays off exactly at
-  /// run boundaries, where the flow-table probe would otherwise miss.
-  void PrefetchDeliver(const Packet& pkt) const override {
-    connections_.Prefetch(
-        PackFlowKey(pkt.tcp.dst_port, pkt.src, pkt.tcp.src_port));
-  }
-
   /// Packets that matched neither a connection nor a listener.
   std::uint64_t unmatched_packets() const { return unmatched_; }
 

@@ -219,15 +219,6 @@ void EgressPort::DeliverHead() {
   }
   if (!due_.Empty()) {
     deliver_ev_.ArmAt(due_.Front());
-    if (queue_.PropagatingCount() > 0) {
-      // Two-stage software pipeline: the packet this event will deliver
-      // next is known now — pull its cacheline (the whole Packet, by the
-      // one-line static_assert) and the peer's demux probe chain for its
-      // flow while the current event's effects settle.
-      const Packet& nx = queue_.PropagatingFront();
-      __builtin_prefetch(&nx, 0, 3);
-      peer_.PrefetchDeliver(nx);
-    }
   } else {
     deliver_armed_ = false;
   }

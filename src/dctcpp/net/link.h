@@ -31,11 +31,6 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void Deliver(const Packet& pkt) = 0;
-  /// Cache hint that `pkt` will be Deliver()ed shortly (the burst pipeline
-  /// calls this for arrival i+1 while arrival i is being processed). Must
-  /// have no observable effect; hosts prefetch their demux slot for the
-  /// packet's flow key, the default does nothing.
-  virtual void PrefetchDeliver(const Packet& pkt) const { (void)pkt; }
 };
 
 /// Configuration of one link direction.

@@ -63,10 +63,9 @@ static_assert(sizeof(TcpHeader) == 40, "TcpHeader must stay packed");
 
 /// One simulated packet. Field order and widths are chosen so the whole
 /// struct fits a single 64-byte cache line: every copy on the egress path
-/// is one cacheline move, and a burst pipeline entry prefetches with one
-/// line fill. `payload` is a 32-bit count (a segment carries at most kMss
-/// bytes; byte *totals* use the 64-bit Bytes type, to which it widens
-/// implicitly).
+/// is one cacheline move. `payload` is a 32-bit count (a segment carries
+/// at most kMss bytes; byte *totals* use the 64-bit Bytes type, to which
+/// it widens implicitly).
 struct Packet {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;

@@ -269,13 +269,6 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
       sim.SetNow(tc);
       do {
         const CalendarEntry e = sh.calendar.PopEarliest();
-        // Burst pipeline: while arrival i runs its socket chain, warm
-        // arrival i+1's demux probe chain (the sink reads the flow key out
-        // of the peeked entry, which doubles as the packet prefetch).
-        if (!sh.calendar.Empty() && sh.calendar.NextTime() == tc) {
-          const CalendarEntry& nx = sh.calendar.PeekEarliest();
-          nx.sink->PrefetchDeliver(nx.pkt);
-        }
         e.sink->Deliver(e.pkt);
         ++sh.delivered;
       } while (!sh.calendar.Empty() && sh.calendar.NextTime() == tc);

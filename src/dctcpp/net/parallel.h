@@ -130,13 +130,6 @@ class ArrivalCalendar {
   /// Removes and returns the earliest entry. Precondition: !Empty().
   CalendarEntry PopEarliest();
 
-  /// The earliest entry in place, without removing it (the drain loop's
-  /// lookahead prefetch). Precondition: !Empty().
-  const CalendarEntry& PeekEarliest() const {
-    DCTCPP_DASSERT(!heap_.empty());
-    return heap_[0];
-  }
-
   /// Checkpoint: entries in raw heap-array order (a valid heap layout
   /// restored verbatim is a valid heap and reproduces pop tie-breaking
   /// bit-identically). Sink pointers never serialize — LoadState

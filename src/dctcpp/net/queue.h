@@ -110,8 +110,8 @@ class DropTailEcnQueue {
     DCTCPP_DASSERT(n_propagating_ > 0);
     return queue_.Front();
   }
-  /// The i-th in-flight packet (0 = PropagatingFront), for delivery
-  /// prefetch. Precondition: i < PropagatingCount().
+  /// The i-th in-flight packet (0 = PropagatingFront). Precondition:
+  /// i < PropagatingCount().
   const Packet& PropagatingAt(std::size_t i) const {
     DCTCPP_DASSERT(i < n_propagating_);
     return queue_.At(i);

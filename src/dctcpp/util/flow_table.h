@@ -87,17 +87,6 @@ class FlatFlowTable {
 
   bool Contains(std::uint64_t key) const { return FindSlot(key) != kNotFound; }
 
-  /// Hints the probe chain's first state byte and slot into cache, so a
-  /// Find issued a few hundred cycles later starts warm. The burst
-  /// pipeline calls this for packet i+1's demux key while packet i is
-  /// still in its socket; purely a performance hint, no observable effect.
-  void Prefetch(std::uint64_t key) const {
-    if (slots_.empty()) return;
-    const std::size_t idx = ProbeStart(key);
-    __builtin_prefetch(&state_[idx], 0, 3);
-    __builtin_prefetch(&slots_[idx], 0, 3);
-  }
-
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return slots_.size(); }

@@ -1,7 +1,6 @@
 // One-copy egress: the staged-queue region semantics the end-to-end runs
 // rely on, and the one-cacheline Packet layout the burst pipeline needs.
-// End-to-end, the burst pipeline (wheel batch drain, prefetch, one-copy
-// egress) is pinned by the golden table in tests/golden_test.cc.
+// End-to-end, the burst pipeline (wheel batch drain, one-copy egress) is pinned by the golden table in tests/golden_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
