@@ -10,7 +10,7 @@
 //     run. Gate: ONE fingerprint across the whole matrix (partitioning
 //     may only change scheduling, never results) and zero invariant
 //     violations. Sync-round gate: the pod S = 4 run, inline and pooled,
-//     crosses exactly 138 barriers (smoke: 96) — the fixed-W count the
+//     crosses exactly 138 barriers (smoke: 95) — the fixed-W count the
 //     one window rule reproduces on uniform link delays. The matrix rows
 //     with S > 1 run inline with no pool, so their wall column measures
 //     sharding overhead, not speedup.
@@ -19,7 +19,10 @@
 //     timing RunUntil alone (FabricRunResult::run_seconds; setup is
 //     excluded). Gate: >= 1.5x when the machine has >= 4 hardware
 //     threads; on fewer the JSON reports "speedup": null rather than a
-//     core-starved ratio.
+//     core-starved ratio. The JSON also splits the median pooled run's
+//     RunUntil per shard into busy, barrier-wait and merge seconds (and
+//     the median serial run's busy seconds), so a low reading shows
+//     whether the shards ran slowly or waited on the gang.
 //  2. Cross-shard fraction gate — at S = 4, pod or min-cut must carry a
 //     >= 3x (smoke: 1.2x) smaller fraction of calendar deliveries across
 //     shards than random. This is the point of topology-aware
@@ -45,6 +48,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dctcpp/util/thread_pool.h"
@@ -76,9 +80,13 @@ struct MatrixPoint {
   std::uint64_t fingerprint = 0;
 };
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
+/// The run with the median RunUntil time (an odd count of runs).
+FabricRunResult MedianRun(std::vector<FabricRunResult> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const FabricRunResult& a, const FabricRunResult& b) {
+              return a.run_seconds < b.run_seconds;
+            });
+  return runs[runs.size() / 2];
 }
 
 bool CheckRun(const char* what, const FabricRunResult& r, bool* ok) {
@@ -163,7 +171,7 @@ int Main(int argc, char** argv) {
   // Same run, different engine knobs: pool, no pruning. The pod S = 4
   // run must cross exactly the recorded number of barriers in each.
   ThreadPool pool(3);
-  const std::uint64_t expected_rounds = smoke ? 96 : 138;
+  const std::uint64_t expected_rounds = smoke ? 95 : 138;
   std::uint64_t rounds_inline = 0;
   for (const MatrixPoint& p : points) {
     if (p.shards == 4 && std::strcmp(p.strategy, "pod") == 0) {
@@ -209,11 +217,13 @@ int Main(int argc, char** argv) {
   const double min_speedup = 1.5;
   double serial_s = 0.0;
   double pooled_s = 0.0;
+  double serial_busy_s = 0.0;
+  std::vector<ShardTimes> pooled_split;
   bool speedup_measured = false;
   if (!smoke) {
     constexpr int kReps = 5;
-    std::vector<double> serial_walls;
-    std::vector<double> pooled_walls;
+    std::vector<FabricRunResult> serial_runs;
+    std::vector<FabricRunResult> pooled_runs;
     FabricRunConfig config = base;
     config.strategy = PartitionStrategy::kPod;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -221,7 +231,7 @@ int Main(int argc, char** argv) {
         config.shards = shards;
         config.shard_pool = shards > 1 ? &pool : nullptr;
         const FabricRunResult r = RunFabricWorkload(config);
-        (shards > 1 ? pooled_walls : serial_walls).push_back(r.run_seconds);
+        (shards > 1 ? pooled_runs : serial_runs).push_back(r);
         if (Fingerprint(r) != expected_fp) {
           std::fprintf(stderr,
                        "fabric_scale: GATE FAIL: timed S=%d run diverged "
@@ -231,14 +241,25 @@ int Main(int argc, char** argv) {
         }
       }
     }
-    serial_s = Median(serial_walls);
-    pooled_s = Median(pooled_walls);
+    const FabricRunResult serial = MedianRun(std::move(serial_runs));
+    const FabricRunResult pooled = MedianRun(std::move(pooled_runs));
+    serial_s = serial.run_seconds;
+    pooled_s = pooled.run_seconds;
+    serial_busy_s = serial.shard_times[0].busy_s;
+    pooled_split = pooled.shard_times;
     speedup_measured = hardware_threads >= 4;
     std::printf("speedup k=%d (RunUntil): S=1 inline %.3fs, S=4 on 3 "
                 "threads %.3fs (%.2fx, %u hardware threads, need >= "
                 "%.1fx)\n",
                 k, serial_s, pooled_s, serial_s / pooled_s, hardware_threads,
                 min_speedup);
+    std::printf("  S=1 busy %.3fs\n", serial_busy_s);
+    for (std::size_t i = 0; i < pooled_split.size(); ++i) {
+      std::printf("  S=4 shard %zu: busy %.3fs, barrier wait %.3fs, "
+                  "merge %.3fs\n",
+                  i, pooled_split[i].busy_s, pooled_split[i].wait_s,
+                  pooled_split[i].merge_s);
+    }
     if (speedup_measured && serial_s < min_speedup * pooled_s) {
       std::fprintf(stderr,
                    "fabric_scale: GATE FAIL: pooled S=4 speedup %.2fx < "
@@ -455,9 +476,18 @@ int Main(int argc, char** argv) {
                    "  \"speedup_s4\": {\"timed\": \"RunUntil\", "
                    "\"hardware_threads\": %u, "
                    "\"serial_seconds\": %.3f, \"pooled_seconds\": %.3f, "
-                   "\"speedup\": %.2f, \"min_speedup\": %.1f},\n",
+                   "\"speedup\": %.2f, \"min_speedup\": %.1f, "
+                   "\"serial_busy_seconds\": %.4f, \"pooled_shards\": [",
                    hardware_threads, serial_s, pooled_s, serial_s / pooled_s,
-                   min_speedup);
+                   min_speedup, serial_busy_s);
+      for (std::size_t i = 0; i < pooled_split.size(); ++i) {
+        std::fprintf(out,
+                     "%s{\"busy_s\": %.4f, \"wait_s\": %.4f, "
+                     "\"merge_s\": %.4f}",
+                     i > 0 ? ", " : "", pooled_split[i].busy_s,
+                     pooled_split[i].wait_s, pooled_split[i].merge_s);
+      }
+      std::fprintf(out, "]},\n");
     } else {
       std::fprintf(out,
                    "  \"speedup_s4\": {\"hardware_threads\": %u, "

@@ -1,5 +1,7 @@
 #include "dctcpp/net/link.h"
 
+#include <algorithm>
+
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/util/assert.h"
 #include "dctcpp/util/flight_recorder.h"
@@ -9,17 +11,6 @@
 namespace dctcpp {
 
 namespace {
-
-/// Folds the legacy `LinkConfig::random_loss` knob into the impairment
-/// config. Both knobs set means two independent loss sources.
-ImpairmentConfig EffectiveImpairment(const LinkConfig& config) {
-  ImpairmentConfig eff = config.impairment;
-  if (config.random_loss > 0.0) {
-    eff.random_loss =
-        1.0 - (1.0 - eff.random_loss) * (1.0 - config.random_loss);
-  }
-  return eff;
-}
 
 /// Stream-id base for per-port RED randomness in sharded mode, disjoint
 /// from the impairment stream ids (dense from 0) and the per-socket base
@@ -34,9 +25,6 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
       config_(config),
       peer_(peer),
       queue_(config.buffer_bytes, config.ecn_threshold),
-      finish_ev_(
-          sim, [](void* p) { static_cast<EgressPort*>(p)->FinishTransmission(); },
-          this),
       deliver_ev_(
           sim, [](void* p) { static_cast<EgressPort*>(p)->DeliverHead(); },
           this) {
@@ -66,9 +54,9 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
       queue_.EnableRed(config.red_config, &sim.rng());
     }
   }
-  const ImpairmentConfig eff = EffectiveImpairment(config);
-  if (eff.Any()) {
-    impairment_ = std::make_unique<ImpairmentStage>(sim, eff, *this);
+  if (config.impairment.Any()) {
+    impairment_ =
+        std::make_unique<ImpairmentStage>(sim, config.impairment, *this);
   }
   tx_size_data_ = kMss + kHeaderBytes;
   tx_time_data_ = config_.rate.TransmissionTime(tx_size_data_);
@@ -95,55 +83,59 @@ void EgressPort::Send(const Packet& pkt) {
 
 void EgressPort::EnqueueForTransmit(const Packet& pkt) {
   DCTCPP_PROFILE_SCOPE(kEnqueue);
-  // Catch up on serializations that virtually completed before now, so the
+  // Catch up on serializations that completed at or before now, so the
   // admission and marking decisions below see exactly the occupancy an
-  // eventful transmitter would have shown.
-  if (psim_ == nullptr) SettleTo(sim_.Now());
+  // eventful transmitter would have shown — completions settle before a
+  // same-tick admission, in both engines.
+  const Tick now = sim_.Now();
+  SettleTo(now);
   FlightRecorder* const fr = sim_.flight_recorder();
   const std::uint64_t marked_before =
       fr != nullptr ? queue_.stats().marked : 0;
   if (!queue_.Enqueue(pkt)) {
     sim_.invariants().CountDropped();
     if (fr != nullptr) {
-      fr->Record(FrEvent::kDrop, sim_.shard_id(), sim_.Now(),
+      fr->Record(FrEvent::kDrop, sim_.shard_id(), now,
                  FrPortPayload(port_gid_, pkt.uid));
     }
     if (LogEnabled(LogLevel::kTrace)) {
       char buf[Packet::kDescribeBufSize];
-      Log(LogLevel::kTrace, "drop at %s: %s",
-          FormatTick(sim_.Now()).c_str(), pkt.DescribeTo(buf, sizeof buf));
+      Log(LogLevel::kTrace, "drop at %s: %s", FormatTick(now).c_str(),
+          pkt.DescribeTo(buf, sizeof buf));
     }
     return;
   }
   if (fr != nullptr) {
     fr->Record(queue_.stats().marked != marked_before ? FrEvent::kMark
                                                       : FrEvent::kEnqueue,
-               sim_.shard_id(), sim_.Now(), FrPortPayload(port_gid_, pkt.uid));
+               sim_.shard_id(), now, FrPortPayload(port_gid_, pkt.uid));
   }
   sim_.CountForwardedPacket();
   if ((queue_.stats().enqueued & (kByteAuditPeriod - 1)) == 0) {
     AuditQueueBytes();
   }
-  if (!transmitting_) {
-    if (psim_ != nullptr) {
-      StartTransmission();
-    } else if (!queue_.Empty()) {
-      BeginServiceAt(sim_.Now());
-    }
+  // The queue is FIFO and work-conserving and nothing leaves it but
+  // through the wire, so the packet's wire exit and delivery instant are
+  // fixed now. The stored slot is the one to ship: Enqueue may have
+  // CE-marked it.
+  const Packet& stored = queue_.Back();
+  tail_fin_ = std::max(now, tail_fin_) + TxTime(stored.WireSize());
+  const Tick due = tail_fin_ + config_.propagation_delay;
+  if (psim_ != nullptr) {
+    // The wire is the destination shard's arrival calendar. (port gid,
+    // wire seq) makes the key unique and canonical — the same packet
+    // sorts to the same place whatever the shard count. A cross-shard
+    // `due` is at or past the current window's end (DESIGN.md Sec. 10),
+    // so depositing it now is safe.
+    const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
+    psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_, stored);
+  } else {
+    // Due times are strictly increasing, so `due_` stays FIFO-ordered and
+    // only its head needs an armed event.
+    if (due_.Empty()) deliver_ev_.ArmAt(due);
+    due_.PushBack(due);
   }
-}
-
-void EgressPort::StartTransmission() {
-  if (queue_.Empty()) return;
-  transmitting_ = true;
-  // One-copy path: the head queued packet becomes the serving packet in
-  // place; its ring slot — written once at Enqueue — IS the wire.
-  in_flight_bytes_ = queue_.BeginService().WireSize();
-  const Tick tx = in_flight_bytes_ == tx_size_data_ ? tx_time_data_
-                  : in_flight_bytes_ == tx_size_ack_
-                      ? tx_time_ack_
-                      : config_.rate.TransmissionTime(in_flight_bytes_);
-  finish_ev_.ArmIn(tx);
+  if (!transmitting_) BeginServiceAt(now);
 }
 
 void EgressPort::BeginServiceAt(Tick start) {
@@ -151,54 +143,26 @@ void EgressPort::BeginServiceAt(Tick start) {
   // One-copy path: the head queued packet becomes the serving packet in
   // place; its ring slot — written once at Enqueue — IS the wire.
   in_flight_bytes_ = queue_.BeginService().WireSize();
-  const Tick tx = in_flight_bytes_ == tx_size_data_ ? tx_time_data_
-                  : in_flight_bytes_ == tx_size_ack_
-                      ? tx_time_ack_
-                      : config_.rate.TransmissionTime(in_flight_bytes_);
-  t_fin_ = start + tx;
-  // Propagation: the packet arrives at the peer `delay` after the last bit
-  // leaves the wire. Finish times are strictly increasing, so `due_` stays
-  // FIFO-ordered; and since the armed delivery at `due_.Front()` has not
-  // fired yet, `due` here is never in the past.
-  const Tick due = t_fin_ + config_.propagation_delay;
-  due_.PushBack(due);
-  if (!deliver_armed_) {
-    deliver_armed_ = true;
-    deliver_ev_.ArmAt(due);
-  }
+  t_fin_ = start + TxTime(in_flight_bytes_);
 }
 
 void EgressPort::SettleSlow(Tick t) {
   while (transmitting_ && t_fin_ <= t) {
-    queue_.FinishServiceToWire();  // serving -> propagating, zero copy
     transmitting_ = false;
     in_flight_bytes_ = 0;
+    if (psim_ != nullptr) {
+      // Its calendar copy was deposited at admission.
+      queue_.DropServing();
+      Retire();
+    } else {
+      queue_.FinishServiceToWire();  // serving -> propagating, zero copy
+    }
     if (!queue_.Empty()) BeginServiceAt(t_fin_);
   }
 }
 
-void EgressPort::FinishTransmission() {
-  DCTCPP_PROFILE_SCOPE(kEnqueue);
-  // Sharded mode only — unsharded ports never arm `finish_ev_` (their
-  // completions settle lazily through SettleTo).
-  DCTCPP_DASSERT(psim_ != nullptr);
-  transmitting_ = false;
-  in_flight_bytes_ = 0;
-  // Sharded mode: the wire is the destination shard's arrival calendar.
-  // (port gid, wire seq) makes the delivery key unique and canonical —
-  // the same packet sorts to the same place whatever the shard count.
-  const Tick due = sim_.Now() + config_.propagation_delay;
-  const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
-  ++handed_off_;
-  // The cross-shard copy into the peer's calendar is unavoidable (the
-  // peer owns its arrival storage); it is the packet's only post-enqueue
-  // copy, and the serving slot then retires.
-  psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_, queue_.Serving());
-  queue_.DropServing();
-  if ((++conservation_clock_ & (kConservationPeriod - 1)) == 0) {
-    CheckConservation();
-  }
-  StartTransmission();
+void EgressPort::Retire() {
+  if ((++retired_ & (kConservationPeriod - 1)) == 0) CheckConservation();
 }
 
 void EgressPort::DeliverHead() {
@@ -213,46 +177,25 @@ void EgressPort::DeliverHead() {
   peer_.Deliver(queue_.PropagatingFront());
   queue_.PopPropagating();
   due_.PopFront();
-  ++delivered_;
-  if ((++conservation_clock_ & (kConservationPeriod - 1)) == 0) {
-    CheckConservation();
-  }
-  if (!due_.Empty()) {
-    deliver_ev_.ArmAt(due_.Front());
-  } else {
-    deliver_armed_ = false;
-  }
+  Retire();
+  if (!due_.Empty()) deliver_ev_.ArmAt(due_.Front());
 }
 
 void EgressPort::CheckConservation() {
-  // Every packet the queue ever accepted must be exactly one of:
-  // delivered, waiting in the queue, serializing, or on the wire. In
-  // sharded mode "on the wire" is the peer's calendar, whose contents
-  // this side must not read; the handoff counter takes the role of
-  // delivered + propagating on the source side.
-  if (psim_ != nullptr) {
-    const std::uint64_t resident =
-        queue_.PacketCount() + (transmitting_ ? 1u : 0u);
-    if (queue_.stats().enqueued != handed_off_ + resident) {
-      sim_.invariants().Violate(
-          "port-conservation",
-          "accepted=%llu != handed_off=%llu + queued=%zu + serializing=%u",
-          static_cast<unsigned long long>(queue_.stats().enqueued),
-          static_cast<unsigned long long>(handed_off_), queue_.PacketCount(),
-          transmitting_ ? 1u : 0u);
-    }
-    return;
-  }
+  // Every packet the queue ever accepted must be exactly one of: retired
+  // (delivered to the peer, or — sharded — done serializing with its
+  // calendar copy already deposited), waiting in the queue, serializing,
+  // or propagating (serial wire only).
   const std::size_t propagating = queue_.PropagatingCount();
   const std::uint64_t resident =
       queue_.PacketCount() + (transmitting_ ? 1u : 0u) + propagating;
-  if (queue_.stats().enqueued != delivered_ + resident) {
+  if (queue_.stats().enqueued != retired_ + resident) {
     sim_.invariants().Violate(
         "port-conservation",
-        "accepted=%llu != delivered=%llu + queued=%zu + serializing=%u + "
+        "accepted=%llu != retired=%llu + queued=%zu + serializing=%u + "
         "propagating=%zu",
         static_cast<unsigned long long>(queue_.stats().enqueued),
-        static_cast<unsigned long long>(delivered_), queue_.PacketCount(),
+        static_cast<unsigned long long>(retired_), queue_.PacketCount(),
         transmitting_ ? 1u : 0u, propagating);
   }
 }
@@ -263,33 +206,21 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   std::uint64_t red_state[4];
   red_rng_.SaveState(red_state);
   for (std::uint64_t s : red_state) w.U64(s);
+  // No finish event exists: the lazy finish instants are the whole
+  // serialization state. Unsettled completions are checkpoint-faithful
+  // as-is — restoring the same (t_fin_, tail_fin_, due_, delivery arming)
+  // replays the same settlements. The serving packet is inside the queue
+  // blob already (region sizes lead it).
   w.Bool(transmitting_);
   if (transmitting_) {
-    // The serving packet is inside the queue blob already (region sizes
-    // lead it).
     w.I64(in_flight_bytes_);
-    if (psim_ != nullptr) {
-      // Sharded: the eventful finish is pending — save its exact arming.
-      Tick at = 0;
-      std::uint64_t seq = 0;
-      finish_ev_.Arming(&at, &seq);
-      w.I64(at);
-      w.U64(seq);
-    } else {
-      // Unsharded: no finish event exists; the lazy finish instant is the
-      // whole serialization state. Unsettled virtual completions are
-      // checkpoint-faithful as-is — restoring the same (t_fin_, due_,
-      // delivery arming) replays the same settlements.
-      w.I64(t_fin_);
-    }
+    w.I64(t_fin_);
   }
+  w.I64(tail_fin_);
   w.U64(wire_seq_);
-  w.U64(handed_off_);
-  w.U64(delivered_);
-  w.U64(conservation_clock_);
+  w.U64(retired_);
   due_.SaveState(w);
-  w.Bool(deliver_armed_);
-  if (deliver_armed_) {
+  if (!due_.Empty()) {
     Tick at = 0;
     std::uint64_t seq = 0;
     deliver_ev_.Arming(&at, &seq);
@@ -307,21 +238,13 @@ void EgressPort::LoadState(CheckpointReader& r) {
   transmitting_ = r.Bool();
   if (transmitting_) {
     in_flight_bytes_ = r.I64();
-    if (psim_ != nullptr) {
-      const Tick at = r.I64();
-      const std::uint64_t seq = r.U64();
-      finish_ev_.ArmAtWithSeq(at, seq);
-    } else {
-      t_fin_ = r.I64();
-    }
+    t_fin_ = r.I64();
   }
+  tail_fin_ = r.I64();
   wire_seq_ = r.U64();
-  handed_off_ = r.U64();
-  delivered_ = r.U64();
-  conservation_clock_ = r.U64();
+  retired_ = r.U64();
   due_.LoadState(r);
-  deliver_armed_ = r.Bool();
-  if (deliver_armed_) {
+  if (!due_.Empty()) {
     const Tick at = r.I64();
     const std::uint64_t seq = r.U64();
     deliver_ev_.ArmAtWithSeq(at, seq);

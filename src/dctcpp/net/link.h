@@ -6,6 +6,14 @@
 // peer node after the propagation delay. This reproduces the store-and-
 // forward pipeline whose capacity (C*D + B) the paper's incast bursts
 // overflow.
+//
+// One transmitter serves both engines. Serializations settle lazily
+// (SettleTo) and each packet's delivery instant is fixed at admission;
+// the engines differ only in the wire. On the serial engine the packet
+// propagates inside the port and one pinned delivery event drains it; on
+// the sharded engine (net/parallel.h) its copy goes into the destination
+// shard's arrival calendar at admission, and the port arms no wheel
+// event at all.
 #pragma once
 
 #include <cstddef>
@@ -39,12 +47,6 @@ struct LinkConfig {
   Tick propagation_delay = 10 * kMicrosecond;
   Bytes buffer_bytes = 128 * kKiB;
   Bytes ecn_threshold = 32 * kKiB;  ///< K; <= 0 disables marking
-  /// Independent per-packet drop probability, applied before enqueue.
-  /// 0 disables. Legacy alias for `impairment.random_loss` — the draw now
-  /// comes from the link's private RNG stream, so enabling loss on one
-  /// link no longer perturbs randomness anywhere else. When both knobs
-  /// are set, the losses compose as independent sources.
-  double random_loss = 0.0;
   /// Replace the instantaneous-K marking with classic RED (the AQM the
   /// DCTCP line of work compares against); see RedConfig.
   bool red = false;
@@ -80,11 +82,13 @@ class EgressPort : public Checkpointable {
   PacketSink& peer() const { return peer_; }
 
   /// Bytes queued plus the packet currently on the wire; the quantity a
-  /// hardware queue-length register would report. Unsharded ports settle
+  /// hardware queue-length register would report. Ports settle
   /// serializations lazily (see SettleTo), so an external sampler may see
-  /// serializations that virtually completed within the trailing
-  /// propagation delay still counted here; admission/marking decisions
-  /// always run on settled state, and the value is exact whenever the
+  /// serializations that virtually completed since the port's last
+  /// observation still counted here — within the trailing propagation
+  /// delay on a serial port, until the next admission on a sharded port,
+  /// which has no delivery event. Admission/marking decisions always run
+  /// on settled state, and a serial port's value is exact whenever the
   /// simulator is drained.
   Bytes BacklogBytes() const {
     return queue_.OccupancyBytes() + in_flight_bytes_;
@@ -102,16 +106,8 @@ class EgressPort : public Checkpointable {
   /// The fault pipeline, or nullptr when this link is unimpaired.
   const ImpairmentStage* impairment() const { return impairment_.get(); }
 
-  /// Packets this port handed to its peer (in sharded mode: deposited
-  /// into the peer shard's arrival calendar — the peer-side delivery is
-  /// counted by the destination shard).
-  std::uint64_t delivered() const {
-    return psim_ != nullptr ? handed_off_ : delivered_;
-  }
-
   /// Checkpoint (registered with the owning Simulator at construction):
-  /// queue contents, the serializing packet (with its lazy finish instant
-  /// in unsharded mode, the finish event's exact arming in sharded mode),
+  /// queue contents, the serializing packet with its lazy finish instant,
   /// the propagation pipeline, the impairment stage, counters, and the
   /// delivery event's exact arming.
   void SaveState(CheckpointWriter& w) const override;
@@ -120,9 +116,9 @@ class EgressPort : public Checkpointable {
  private:
   friend class ImpairmentStage;
 
-  /// Flat power-of-two ring of absolute delivery times, FIFO. Covers the
-  /// propagation stage plus (unsharded) the serving packet, whose due time
-  /// is computed at serialization begin. No steady-state allocation.
+  /// Flat power-of-two ring of absolute delivery times, FIFO. Covers every
+  /// packet of a serial port — queued, serving and propagating — since
+  /// due times are computed at admission. No steady-state allocation.
   class TickFifo {
    public:
     TickFifo() : buf_(64) {}
@@ -178,33 +174,43 @@ class EgressPort : public Checkpointable {
   /// straight into the queue, skipping re-impairment.
   void InjectReleased(const Packet& pkt) { EnqueueForTransmit(pkt); }
 
-  void StartTransmission();
-  void FinishTransmission();
   void DeliverHead();
 
-  /// Lazy transmitter (unsharded only): replays every serialization that
-  /// virtually completed at or before `t` — serving packet moves to the
-  /// propagation stage, the next queued packet begins serializing at the
-  /// exact tick the wire freed. Called at the port's observation points
-  /// (enqueue admission, each delivery); the no-op case (wire idle or
-  /// still serializing) stays inline.
+  /// Serialization time of `size` wire bytes (the two common sizes are
+  /// precomputed).
+  Tick TxTime(Bytes size) const {
+    return size == tx_size_data_  ? tx_time_data_
+           : size == tx_size_ack_ ? tx_time_ack_
+                                  : config_.rate.TransmissionTime(size);
+  }
+
+  /// Lazy transmitter: replays every serialization that virtually
+  /// completed at or before `t`. The serving packet moves to the
+  /// propagation stage (serial wire) or retires (sharded: its calendar
+  /// copy is already deposited), and the next queued packet begins
+  /// serializing at the exact tick the wire freed. Called at the port's
+  /// observation points (enqueue admission, each serial delivery); the
+  /// no-op case (wire idle or still serializing) stays inline.
   void SettleTo(Tick t) {
     if (transmitting_ && t_fin_ <= t) SettleSlow(t);
   }
   void SettleSlow(Tick t);
 
   /// Begins serializing the head queued packet as of instant `start`
-  /// (which may lie in the past when invoked from SettleTo), computes its
-  /// finish/delivery times, and arms the delivery event if idle. The
-  /// eventful FinishTransmission never runs in unsharded mode — the finish
-  /// instant lives in `t_fin_` until an observation settles it.
+  /// (which may lie in the past when invoked from SettleTo). No event is
+  /// armed: the finish instant lives in `t_fin_` until an observation
+  /// settles it.
   void BeginServiceAt(Tick start);
 
+  /// Counts one packet leaving the port and runs the periodic
+  /// conservation check.
+  void Retire();
+
   /// O(1) conservation check: every packet the queue ever accepted is
-  /// delivered, still queued, serializing, or propagating. Run every
-  /// `kConservationPeriod`-th delivery (handoff in sharded mode) and at
-  /// teardown — the counters it compares are valid at any instant, so
-  /// sampling loses no coverage, only latency-to-detection.
+  /// retired, still queued, serializing, or propagating. Run every
+  /// `kConservationPeriod`-th retirement and at teardown — the counters it
+  /// compares are valid at any instant, so sampling loses no coverage,
+  /// only latency-to-detection.
   void CheckConservation();
 
   /// O(n) audit that the queue's occupancy counter matches the wire sizes
@@ -221,7 +227,7 @@ class EgressPort : public Checkpointable {
   DropTailEcnQueue queue_;
   std::unique_ptr<ImpairmentStage> impairment_;
   // Sharded-mode state (see net/parallel.h). When psim_ is set the
-  // propagation stage is replaced by a calendar handoff: FinishTransmission
+  // propagation stage is replaced by a calendar handoff: admission
   // deposits (due, port gid << 32 | wire seq) into the peer shard and the
   // pinned delivery event never arms. RED then draws from the port's
   // private stream instead of the (shard-local, draw-order-fragile) run
@@ -231,11 +237,10 @@ class EgressPort : public Checkpointable {
   int dst_shard_ = 0;
   std::uint64_t port_gid_ = 0;
   std::uint64_t wire_seq_ = 0;
-  std::uint64_t handed_off_ = 0;
   Rng red_rng_{0};
   bool transmitting_ = false;
   Bytes in_flight_bytes_ = 0;
-  std::uint64_t delivered_ = 0;
+  std::uint64_t retired_ = 0;
   // Serialization times for the two wire sizes that cover essentially every
   // packet (full data segment, bare ACK), precomputed once so the hot path
   // skips the 128-bit division in DataRate::TransmissionTime.
@@ -243,30 +248,21 @@ class EgressPort : public Checkpointable {
   Bytes tx_size_data_ = 0;
   Tick tx_time_ack_ = 0;
   Bytes tx_size_ack_ = 0;
-  std::uint64_t conservation_clock_ = 0;
   // One-copy egress: the serializing packet and the packets in flight on
   // the wire stay *inside the queue's ring* — BeginService/
   // FinishServiceToWire/PopPropagating move region boundaries over slots
-  // written once at Enqueue. Propagation delay is constant per port, so
-  // deliveries leave the wire in FIFO order: one pinned delivery event
-  // tracks the head's due time (`due_`), re-arming itself as packets
-  // drain.
+  // written once at Enqueue.
   //
-  // Unsharded runs never arm `finish_ev_`: serialization completions are
-  // settled lazily by SettleTo at the port's observation points instead of
-  // costing a wheel event per packet. `t_fin_` holds the serving packet's
-  // finish instant; `due_` is pushed at serialization *begin* (its entries
-  // cover propagating + serving packets), which is safe because the armed
-  // delivery at `due_.Front()` has not fired yet, so every newly computed
-  // due time is provably >= Now(). The delivery event is therefore the
-  // port's only armed wheel node however many packets it carries. Sharded
-  // mode keeps the eventful finish: the calendar handoff must execute
-  // inside the conservative-parallel window that contains it.
+  // No port arms a wheel event per serialization (see the file header).
+  // `t_fin_` holds the serving packet's finish instant, `tail_fin_` the
+  // last admitted packet's. Propagation delay is constant per port, so a
+  // serial port's deliveries leave in FIFO order: one pinned delivery
+  // event tracks `due_.Front()`, armed exactly while `due_` is non-empty,
+  // and is the port's only wheel node however many packets it carries.
   TickFifo due_;
   Tick t_fin_ = 0;
-  PinnedEvent finish_ev_;
+  Tick tail_fin_ = 0;
   PinnedEvent deliver_ev_;
-  bool deliver_armed_ = false;
 };
 
 }  // namespace dctcpp

@@ -16,6 +16,12 @@ namespace dctcpp {
 
 namespace {
 
+double WallSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Escalating wait for gang spins: cheap pauses while the window is
 /// likely mid-flight, a bounded stretch of yields once the wait spans a
 /// scheduling quantum, then short sleeps doubling 16 us -> 256 us so an
@@ -256,16 +262,17 @@ std::uint64_t ParallelSimulation::pruned_channel_handoffs() const {
 void ParallelSimulation::RunShardWindow(int idx, Tick end) {
   Shard& sh = *shards_[static_cast<std::size_t>(idx)];
   Simulator& sim = sh.sim;
+  const double start = WallSeconds();
   for (;;) {
     const Tick tc = sh.calendar.NextTime();
     const Tick tw = sim.scheduler().NextTime();
-    if (std::min(tc, tw) >= end) return;
+    if (std::min(tc, tw) >= end) break;
     if (tc <= tw) {
       // All arrivals due at tick tc deliver before any wheel event at tc,
       // in (at, key) order — the canonical tie-break shared by every
       // shard count. Deliveries may schedule wheel work at tc (handled
-      // next iteration, after the batch); handoffs they trigger go
-      // through the wheel first, never straight back into the calendar.
+      // next iteration, after the batch); handoffs they trigger land at
+      // least one link delay later, never inside the batch.
       sim.SetNow(tc);
       do {
         const CalendarEntry e = sh.calendar.PopEarliest();
@@ -282,10 +289,12 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
       sim.RunWindow(std::min({tc, end, SatAddTick(tw, sh.self_delay)}));
     }
   }
+  sh.busy_s += WallSeconds() - start;
 }
 
 void ParallelSimulation::MergeStaging() {
   for (auto& src : shards_) {
+    const double start = WallSeconds();
     OutboxStaging& st = src->staging;
     const std::size_t n = st.Size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -310,8 +319,13 @@ void ParallelSimulation::MergeStaging() {
       dst.calendar.AppendRaw(e);
     }
     st.Clear();
+    src->merge_s += WallSeconds() - start;
   }
-  for (auto& sh : shards_) sh->calendar.FinishBulk();
+  for (auto& sh : shards_) {
+    const double start = WallSeconds();
+    sh->calendar.FinishBulk();
+    sh->merge_s += WallSeconds() - start;
+  }
 }
 
 std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
@@ -332,6 +346,10 @@ std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
   }
   const std::uint64_t rounds_before = sync_rounds_;
   std::vector<Tick> next(static_cast<std::size_t>(s));
+  // Ports hand off at admission, so a packet sent between runs (from the
+  // caller's thread) may sit in a staging buffer; merge it before `gn`
+  // is read.
+  MergeStaging();
 
   // Note the stop flag never breaks this loop: a shard's Stop() only marks
   // the run stopped, and windows keep going until the world drains (gn
@@ -358,11 +376,13 @@ std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
       }
     }
     ++sync_rounds_;
+    const double window_start = WallSeconds();
     if (gang != nullptr && active_.size() > 1) {
       gang->Run(static_cast<int>(active_.size()));
     } else {
       for (const int idx : active_) RunShardWindow(idx, window_end_);
     }
+    window_s_ += WallSeconds() - window_start;
     MergeStaging();
   }
   stopped_ = stop_.load(std::memory_order_acquire);
@@ -389,6 +409,15 @@ std::uint64_t ParallelSimulation::packets_forwarded() const {
   std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->sim.packets_forwarded();
   return total;
+}
+
+ShardTimes ParallelSimulation::shard_times(int i) const {
+  const Shard& sh = *shards_[static_cast<std::size_t>(i)];
+  ShardTimes t;
+  t.busy_s = sh.busy_s;
+  t.wait_s = window_s_ - sh.busy_s;
+  t.merge_s = sh.merge_s;
+  return t;
 }
 
 std::uint64_t ParallelSimulation::calendar_deliveries() const {

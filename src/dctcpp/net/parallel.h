@@ -34,12 +34,14 @@
 //    executed set is identical however execution was chunked.
 //  - Delivery order. In sharded mode every packet delivery — cross-shard
 //    AND intra-shard — goes through the destination shard's arrival
-//    calendar, keyed (arrival tick, port id << 32 | per-port wire
-//    sequence). Port ids come from a shared construction-time sequence
-//    (Simulator::NextPortId) fixed by topology-build order; wire sequence
-//    is the per-port FIFO position. At any tick, calendar deliveries run
-//    before wheel events in ascending key order — a total order that
-//    mentions nothing about shards or windows.
+//    calendar, deposited when the egress port admits the packet (its
+//    delivery instant is fixed then; net/link.h) and keyed (arrival
+//    tick, port id << 32 | per-port wire sequence). Port ids come from a
+//    shared construction-time sequence (Simulator::NextPortId) fixed by
+//    topology-build order; wire sequence is the per-port FIFO position.
+//    At any tick, calendar deliveries run before wheel events in
+//    ascending key order — a total order that mentions nothing about
+//    shards or windows.
 //  - Stop = quiesce. Simulator::Stop() from inside a shard marks the run
 //    stopped, but the coordinator keeps windowing until the world drains
 //    (or the deadline passes). Shards overshoot a mid-window stop by
@@ -184,6 +186,17 @@ struct OutboxStaging {
   }
 };
 
+/// Host wall-time split of one shard across RunUntil calls: running its
+/// window slices, waiting for the rest of each window (barrier wait,
+/// including gang dispatch latency), and the coordinator's merge work for
+/// it at the barriers (draining its outbox, repairing its calendar).
+/// Host timing only: never fingerprinted or checkpointed.
+struct ShardTimes {
+  double busy_s = 0.0;
+  double wait_s = 0.0;
+  double merge_s = 0.0;
+};
+
 /// Spin-synchronized gang that fans a window's shard list over pool
 /// helpers plus the calling thread. Built for windows a handful of
 /// microseconds of work wide: publishing a window is one release store,
@@ -283,8 +296,10 @@ class ParallelSimulation {
   /// Deposits a packet due at `at` into shard `dst`'s arrival calendar
   /// (directly when src == dst — single-threaded owner — else via the
   /// source shard's SoA staging buffer, merged by the coordinator at the
-  /// barrier). Called by EgressPort::FinishTransmission on the shard's
-  /// thread.
+  /// barrier). Called on the shard's thread by EgressPort when it admits
+  /// the packet: `at` is then at least one link delay past the admission
+  /// instant, so a cross-shard deposit lands at or past the current
+  /// window's end (DESIGN.md Sec. 10).
   void Handoff(int src, int dst, Tick at, std::uint64_t key,
                PacketSink* sink, const Packet& pkt);
 
@@ -329,6 +344,8 @@ class ParallelSimulation {
     Shard& sh = *shards_[static_cast<std::size_t>(i)];
     return sh.sim.scheduler().executed() + sh.delivered;
   }
+  /// Host time split of shard `i` (see ShardTimes).
+  ShardTimes shard_times(int i) const;
 
   SharedSequences& sequences() { return sequences_; }
 
@@ -375,6 +392,10 @@ class ParallelSimulation {
     /// Handoffs this shard deposited onto a pruned channel (written only
     /// by the shard's runner; a violation of the RestrictChannels mask).
     std::uint64_t pruned_handoffs = 0;
+    /// Host seconds in RunShardWindow (written by the shard's runner) and
+    /// in MergeStaging on its behalf.
+    double busy_s = 0.0;
+    double merge_s = 0.0;
   };
 
   /// Earliest pending work (wheel or calendar) of one shard.
@@ -411,6 +432,7 @@ class ParallelSimulation {
   std::vector<int> active_;  ///< shard ids of the window being run
   Tick window_end_ = 0;      ///< end of the window being run
   std::uint64_t sync_rounds_ = 0;
+  double window_s_ = 0.0;  ///< host seconds inside windows, all shards
   std::uint64_t merge_causality_violations_ = 0;
   /// Port-gid -> delivery sink, registered at topology construction
   /// (indexed by gid; gids are dense). dst shard rides along for audits.

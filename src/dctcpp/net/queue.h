@@ -90,6 +90,9 @@ class DropTailEcnQueue {
   /// in-flight register). Returns the serving slot. Preconditions:
   /// !Empty(), no packet already serving.
   const Packet& BeginService();
+  /// The most recently admitted packet (the stored copy, CE mark
+  /// included). Precondition: a packet is resident.
+  const Packet& Back() const { return queue_.At(queue_.Size() - 1); }
   /// The packet currently serializing. Precondition: a BeginService is
   /// outstanding.
   const Packet& Serving() const {
@@ -98,9 +101,9 @@ class DropTailEcnQueue {
   }
   /// Serving -> propagating, in place (the unsharded wire).
   void FinishServiceToWire();
-  /// Removes the serving packet (sharded mode: its bytes were copied into
-  /// the peer shard's arrival calendar). Precondition: no propagating
-  /// region (sharded ports never have one).
+  /// Removes the serving packet (sharded mode: its copy went into the
+  /// peer shard's arrival calendar at admission). Precondition: no
+  /// propagating region (sharded ports never have one).
   void DropServing();
 
   std::size_t PropagatingCount() const { return n_propagating_; }

@@ -5,9 +5,9 @@
 // 2^14 * 64^(k-1), so the wheel spans 2^50 ticks (~13 simulated days).
 // Level 0 is deliberately wide enough to cover a packet's serialization
 // plus propagation time on the modelled links: the per-packet datapath
-// events (FinishTransmission ~12 us out, DeliverHead ~10 us out) are homed
-// directly into their final slot and never cascade — placement is one
-// masked index plus two bitmap ORs. Events farther out than the span wait
+// event (a port's DeliverHead, re-armed one serialization time out while
+// it drains) is homed directly into its final slot and never cascades —
+// placement is one masked index plus two bitmap ORs. Events farther out than the span wait
 // in a small min-heap overflow level and are popped from there directly.
 // Events live in a free-listed pool of intrusively doubly-linked nodes, so
 // scheduling performs no heap allocation in steady state and cancellation

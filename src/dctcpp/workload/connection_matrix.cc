@@ -299,6 +299,7 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
   result.packets_forwarded = psim.packets_forwarded();
   for (int s = 0; s < psim.shard_count(); ++s) {
     result.shard_events.push_back(psim.shard_events(s));
+    result.shard_times.push_back(psim.shard_times(s));
   }
   result.sync_rounds = psim.sync_rounds();
   result.calendar_deliveries = psim.calendar_deliveries();

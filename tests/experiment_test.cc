@@ -111,7 +111,7 @@ TEST(ExperimentTest, ImpairedSweepDeterministicAcrossPoolSizes) {
   // counts) for any thread-pool size.
   IncastConfig config = TinyIncast(Protocol::kDctcp, 8);
   config.min_rto = 10 * kMillisecond;
-  config.link.random_loss = 0.002;
+  config.link.impairment.random_loss = 0.002;
   config.link.impairment.ge_p_good_to_bad = 0.001;
   config.link.impairment.ge_p_bad_to_good = 0.3;
   config.link.impairment.reorder_prob = 0.01;

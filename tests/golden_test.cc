@@ -242,11 +242,11 @@ struct GoldenRow {
   std::uint64_t expected;
 };
 
-constexpr std::uint64_t kFabricIncastRowsLossy = 0x77a47b014a74fd06ull;
-constexpr std::uint64_t kFatTreeK16 = 0x63d91fd4b62ffb43ull;
-constexpr std::uint64_t kDragonflyMinimal = 0x77e06396487aeb0cull;
-constexpr std::uint64_t kDragonflyValiant = 0xea95a56011b085f6ull;
-constexpr std::uint64_t kChurnCheckpointLossy = 0x3e1b6673b99e1029ull;
+constexpr std::uint64_t kFabricIncastRowsLossy = 0x0a846a4e69848b85ull;
+constexpr std::uint64_t kFatTreeK16 = 0xa2c835ddc8e61c18ull;
+constexpr std::uint64_t kDragonflyMinimal = 0xdceacaf92f3c0645ull;
+constexpr std::uint64_t kDragonflyValiant = 0xe924a47a0fe81306ull;
+constexpr std::uint64_t kChurnCheckpointLossy = 0x5ff60890db9398a6ull;
 
 const GoldenRow kRows[] = {
     {"incast_dctcp_n40",
@@ -309,7 +309,7 @@ const GoldenRow kRows[] = {
      kDragonflyMinimal},
     {"dragonfly_valiant", [] { return RunFabricRow(Dragonfly(true)); },
      kDragonflyValiant},
-    {"churn_smoke", &ChurnSmoke, 0xc46adcd79e0a803dull},
+    {"churn_smoke", &ChurnSmoke, 0x830465f186ee41d4ull},
     {"churn_checkpoint_lossy", &CheckpointRoundTrip, kChurnCheckpointLossy},
 };
 

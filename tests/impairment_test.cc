@@ -363,10 +363,9 @@ TEST(ImpairmentTest, PerLinkStreamsAreIndependent) {
   EXPECT_EQ(baseline, with_b);
 }
 
-// Satellite check: the legacy LinkConfig::random_loss knob now draws from
-// the link's private stream, so draining the run RNG elsewhere does not
-// change which packets die.
-TEST(ImpairmentTest, LegacyRandomLossUsesPrivateStream) {
+// Random loss draws from the link's private stream, so draining the run
+// RNG elsewhere does not change which packets die.
+TEST(ImpairmentTest, RandomLossUsesPrivateStream) {
   auto run = [](bool burn_main_rng) {
     Simulator sim(7);
     Network net(sim);
@@ -374,7 +373,7 @@ TEST(ImpairmentTest, LegacyRandomLossUsesPrivateStream) {
     Host& a = net.AddHost("a");
     Host& b = net.AddHost("b");
     LinkConfig lossy;
-    lossy.random_loss = 0.4;
+    lossy.impairment.random_loss = 0.4;
     net.ConnectHost(a, sw, lossy, Network::NicConfig(lossy));
     net.ConnectHost(b, sw, LinkConfig{});
     net.InstallRoutes();

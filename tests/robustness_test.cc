@@ -42,7 +42,7 @@ TEST_P(LossyPathTest, TransferSurvivesRandomLoss) {
   Host& a = net.AddHost("a");
   Host& b = net.AddHost("b");
   LinkConfig lossy;
-  lossy.random_loss = param.loss;
+  lossy.impairment.random_loss = param.loss;
   // Loss on both directions (data and ACK path).
   net.ConnectHost(a, sw, lossy, Network::NicConfig(lossy));
   net.ConnectHost(b, sw, lossy, Network::NicConfig(lossy));
@@ -94,7 +94,7 @@ TEST_P(LossyIncastTest, IncastCompletesOverLossyFabric) {
   config.num_flows = 8;
   config.rounds = 3;
   config.total_bytes = 128 * 1024;
-  config.link.random_loss = 0.005;
+  config.link.impairment.random_loss = 0.005;
   config.min_rto = 10 * kMillisecond;
   config.time_limit = 120 * kSecond;
   const IncastResult r = RunIncast(config);
@@ -223,7 +223,7 @@ TEST(LossInjectionTest, CounterTracksDrops) {
   Host& a = net.AddHost("a");
   Host& b = net.AddHost("b");
   LinkConfig always_lose;
-  always_lose.random_loss = 1.0;
+  always_lose.impairment.random_loss = 1.0;
   net.ConnectHost(a, sw, always_lose, always_lose);
   net.ConnectHost(b, sw, LinkConfig{});
   net.InstallRoutes();

@@ -410,9 +410,10 @@ TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
 // A pool far below the offered load (4 slots per host against ~16 live
 // flows per host) drops arrivals and ignores SYNs rather than growing.
 // The counts were recorded when every slot was still built in the
-// constructor; materializing slots on first use must reproduce them. The
-// fingerprint hashes the checkpoint blob, so it is per format version
-// (recorded at v3).
+// constructor; materializing slots on first use must reproduce them
+// (events_executed is re-recorded whenever the engine's event count per
+// packet changes). The fingerprint hashes the checkpoint blob, so it is
+// per format version (recorded at v4).
 TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   ChurnConfig cfg = SmallChurn(1);
   cfg.max_live_per_host = 4;
@@ -429,10 +430,10 @@ TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   EXPECT_EQ(s.accepts_dropped, 38u);
   EXPECT_EQ(s.live_flows, 63);
   EXPECT_EQ(s.bytes_received, 571392);
-  EXPECT_EQ(s.events_executed, 33981u);
+  EXPECT_EQ(s.events_executed, 18519u);
   EXPECT_EQ(s.packets_forwarded, 15468u);
   EXPECT_EQ(s.violations, 0u);
-  EXPECT_EQ(w.Fingerprint(), 0x401706341510379full);
+  EXPECT_EQ(w.Fingerprint(), 0x298fc7a135e1ab6dull);
   // Never more slots than the pools' capacity: 16 hosts x 4 x 2 sides.
   EXPECT_LE(w.MeasureFootprint().materialized_slots, 128u);
 }
