@@ -28,24 +28,11 @@ void IncastSweepPoint::Merge(const IncastResult& r) {
   hit_time_limit = hit_time_limit || r.hit_time_limit;
 }
 
-IncastSweepPoint RunIncastPoint(const IncastConfig& base, int reps,
-                                ThreadPool& pool) {
-  DCTCPP_ASSERT(reps >= 1);
-  std::vector<IncastResult> results(static_cast<std::size_t>(reps));
-  ParallelFor(pool, static_cast<std::size_t>(reps),
-              [&base, &results](std::size_t i) {
-                IncastConfig config = base;
-                config.seed = base.seed + i;
-                results[i] = RunIncast(config);
-              });
-  IncastSweepPoint point;
-  for (const auto& r : results) point.Merge(r);
-  return point;
-}
-
 std::vector<IncastSweepPoint> RunIncastSweep(
     const IncastConfig& base, const std::vector<Protocol>& protocols,
-    const std::vector<int>& flow_counts, int reps, ThreadPool& pool) {
+    const std::vector<int>& flow_counts, int reps, ThreadPool& pool,
+    std::vector<IncastResult>* runs) {
+  DCTCPP_ASSERT(reps >= 1);
   struct Job {
     Protocol protocol;
     int num_flows;
@@ -89,14 +76,14 @@ std::vector<IncastSweepPoint> RunIncastSweep(
     }
     points[pi * flow_counts.size() + ni].Merge(results[j]);
   }
+  if (runs != nullptr) *runs = std::move(results);
   return points;
 }
 
-std::vector<int> FlowCounts(int from, int to, int step) {
-  DCTCPP_ASSERT(from >= 1 && step >= 1 && to >= from);
-  std::vector<int> out;
-  for (int n = from; n <= to; n += step) out.push_back(n);
-  return out;
+IncastSweepPoint RunIncastPoint(const IncastConfig& base, int reps,
+                                ThreadPool& pool) {
+  return RunIncastSweep(base, {base.protocol}, {base.num_flows}, reps, pool)
+      .front();
 }
 
 }  // namespace dctcpp

@@ -53,18 +53,20 @@ struct IncastSweepPoint {
   void Merge(const IncastResult& r);
 };
 
-/// Runs `reps` repetitions of `base` (seeds base.seed, base.seed+1, ...)
-/// on `pool` and merges them. `base.protocol` / `base.num_flows` select
-/// the point.
-IncastSweepPoint RunIncastPoint(const IncastConfig& base, int reps,
-                                ThreadPool& pool);
-
-/// Full sweep: every protocol crossed with every flow count.
+/// Full sweep: every protocol crossed with every flow count, `reps`
+/// repetitions each, run on `pool`. Repetition r of a point with N flows
+/// runs at seed base.seed + r + 0x9e3779b97f4a7c15 * N. Points come back
+/// protocol-major, flow-count-minor. When `runs` is given it receives
+/// every repetition's own result in job order (protocol, then flow count,
+/// then repetition) — the per-seed view the merged points fold away.
 std::vector<IncastSweepPoint> RunIncastSweep(
     const IncastConfig& base, const std::vector<Protocol>& protocols,
-    const std::vector<int>& flow_counts, int reps, ThreadPool& pool);
+    const std::vector<int>& flow_counts, int reps, ThreadPool& pool,
+    std::vector<IncastResult>* runs = nullptr);
 
-/// Inclusive range helper with stride, e.g. FlowCounts(10, 200, 10).
-std::vector<int> FlowCounts(int from, int to, int step);
+/// One-point sweep: `reps` repetitions of `base` at base.protocol and
+/// base.num_flows, seeded by RunIncastSweep's rule.
+IncastSweepPoint RunIncastPoint(const IncastConfig& base, int reps,
+                                ThreadPool& pool);
 
 }  // namespace dctcpp

@@ -1,7 +1,7 @@
 // Sweep-harness determinism: the merged statistics of a sweep point must
 // be bit-identical regardless of how many worker threads computed the
 // repetitions. The harness guarantees this by merging repetition results
-// in job order (not completion order) — see RunIncastPoint.
+// in job order (not completion order) — see RunIncastSweep.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -266,11 +266,6 @@ TEST(IncastTest, DctcpHealthyAtLowFanIn) {
 // ---------------------------------------------------------------------------
 // Sweep harness
 
-TEST(SweepTest, FlowCountsRange) {
-  EXPECT_EQ(FlowCounts(10, 30, 10), (std::vector<int>{10, 20, 30}));
-  EXPECT_EQ(FlowCounts(5, 5, 1), (std::vector<int>{5}));
-}
-
 TEST(SweepTest, PointMergesRepetitions) {
   ThreadPool pool(2);
   IncastConfig config = SmallIncast(Protocol::kDctcp, 6);
@@ -285,8 +280,9 @@ TEST(SweepTest, SweepCoversGrid) {
   ThreadPool pool(2);
   IncastConfig base = SmallIncast(Protocol::kDctcp, 0);
   base.rounds = 2;
+  std::vector<IncastResult> runs;
   const auto points = RunIncastSweep(
-      base, {Protocol::kDctcp, Protocol::kTcp}, {4, 8}, 2, pool);
+      base, {Protocol::kDctcp, Protocol::kTcp}, {4, 8}, 2, pool, &runs);
   ASSERT_EQ(points.size(), 4u);
   EXPECT_EQ(points[0].protocol, Protocol::kDctcp);
   EXPECT_EQ(points[0].num_flows, 4);
@@ -294,6 +290,16 @@ TEST(SweepTest, SweepCoversGrid) {
   EXPECT_EQ(points[3].num_flows, 8);
   for (const auto& p : points) {
     EXPECT_EQ(p.goodput_mbps.count(), 2u);
+  }
+  // Every repetition's own result, in job order: point-major, then rep.
+  ASSERT_EQ(runs.size(), 8u);
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    EXPECT_EQ(runs[j].protocol, points[j / 2].protocol);
+    EXPECT_EQ(runs[j].num_flows, points[j / 2].num_flows);
+  }
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    EXPECT_DOUBLE_EQ(runs[2 * p].goodput_mbps + runs[2 * p + 1].goodput_mbps,
+                     points[p].goodput_mbps.sum());
   }
 }
 
