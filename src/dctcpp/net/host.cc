@@ -23,13 +23,17 @@ void Host::Send(Packet& pkt) {
 }
 
 void Host::MarkPortUsed(PortNum port) {
-  if (port_refs_.size() <= port) port_refs_.resize(port + std::size_t{1}, 0);
-  ++port_refs_[port];
+  if (std::uint32_t* refs = port_refs_.Find(port)) {
+    ++*refs;
+  } else {
+    port_refs_.Insert(port, 1);
+  }
 }
 
 void Host::MarkPortFree(PortNum port) {
-  DCTCPP_ASSERT(port < port_refs_.size() && port_refs_[port] != 0);
-  --port_refs_[port];
+  std::uint32_t* refs = port_refs_.Find(port);
+  DCTCPP_ASSERT(refs != nullptr && *refs != 0);
+  if (--*refs == 0) port_refs_.Erase(port);
 }
 
 void Host::RegisterConnection(PortNum local_port, NodeId remote,

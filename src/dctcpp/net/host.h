@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "dctcpp/net/link.h"
 #include "dctcpp/net/packet.h"
@@ -71,6 +70,11 @@ class Host : public PacketSink, public Checkpointable {
 
   void Deliver(const Packet& pkt) override;
 
+  /// Local ports with at least one live registration (connection or
+  /// listener), and the heap bytes of the table tracking them.
+  std::size_t LivePortCount() const { return port_refs_.size(); }
+  std::size_t PortTableBytes() const { return port_refs_.bytes(); }
+
   /// Packets that matched neither a connection nor a listener.
   std::uint64_t unmatched_packets() const { return unmatched_; }
 
@@ -120,9 +124,7 @@ class Host : public PacketSink, public Checkpointable {
 
   void MarkPortUsed(PortNum port);
   void MarkPortFree(PortNum port);
-  bool PortInUse(PortNum port) const {
-    return port < port_refs_.size() && port_refs_[port] != 0;
-  }
+  bool PortInUse(PortNum port) const { return port_refs_.Contains(port); }
 
   Simulator& sim_;
   NodeId id_;
@@ -138,9 +140,11 @@ class Host : public PacketSink, public Checkpointable {
   PacketHandler demux_cache_handler_;
   bool demux_cache_valid_ = false;
   FlatFlowTable<PacketHandler> listeners_;  // keyed by local port
-  // Per-port registration counts (connections + listeners), sized lazily.
-  // Multiple connections share one local port on servers, hence counts.
-  std::vector<std::uint32_t> port_refs_;
+  // Registration counts (connections + listeners) keyed by local port,
+  // holding live ports only: an entry is erased when its count drops to
+  // zero. Multiple connections share one local port on servers, hence
+  // counts.
+  FlatFlowTable<std::uint32_t> port_refs_;
   PortNum next_ephemeral_ = kEphemeralBase;
   std::uint64_t unmatched_ = 0;
   std::uint64_t checksum_drops_ = 0;

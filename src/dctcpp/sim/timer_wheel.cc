@@ -34,13 +34,43 @@ std::uint32_t TimerWheelScheduler::AllocNode() {
 }
 
 void TimerWheelScheduler::FreeNode(Node& n, std::uint32_t idx) {
-  n.action.Reset();
+  n.ctx = nullptr;
   ++n.gen;  // invalidates every EventId handed out for this slot so far
   n.loc = kLocFree;
   n.level = -1;
   n.slot = -1;
   n.next = free_head_;
   free_head_ = idx;
+}
+
+InlineAction* TimerWheelScheduler::AllocAction() {
+  if (free_actions_.empty()) {
+    action_chunks_.push_back(
+        std::make_unique<InlineAction[]>(kActionChunkSize));
+    InlineAction* const chunk = action_chunks_.back().get();
+    // Reversed, so the chunk hands out its slots in address order.
+    for (std::uint32_t i = kActionChunkSize; i > 0; --i) {
+      free_actions_.push_back(chunk + (i - 1));
+    }
+  }
+  InlineAction* const action = free_actions_.back();
+  free_actions_.pop_back();
+  return action;
+}
+
+void TimerWheelScheduler::FreeAction(InlineAction* action) {
+  action->Reset();
+  free_actions_.push_back(action);
+}
+
+void TimerWheelScheduler::Dispatch(PinnedFn pin_fn, void* ctx) {
+  if (pin_fn != nullptr) {
+    pin_fn(ctx);
+    return;
+  }
+  InlineAction* const action = static_cast<InlineAction*>(ctx);
+  (*action)();
+  FreeAction(action);
 }
 
 void TimerWheelScheduler::SetL0Bit(int slot) {
@@ -181,7 +211,9 @@ EventId TimerWheelScheduler::ScheduleAt(Tick at, Action action) {
   Node& n = NodeAt(idx);
   n.at = at;
   n.seq = next_seq_++;
-  n.action = std::move(action);
+  InlineAction* const slot = AllocAction();
+  *slot = std::move(action);
+  n.ctx = slot;
   Place(idx, n);
   ++live_count_;
   if (cached_valid_ && at < cached_at_) {
@@ -209,6 +241,7 @@ void TimerWheelScheduler::Cancel(EventId id) {
   // Heap-resident events leave a stale HeapEntry behind; the generation
   // bump in FreeNode makes it unrecognizable and it is dropped on pop.
   if (cached_valid_ && cached_idx_ == idx) cached_valid_ = false;
+  FreeAction(static_cast<InlineAction*>(n.ctx));
   FreeNode(n, idx);
   --live_count_;
 }
@@ -218,7 +251,7 @@ std::uint32_t TimerWheelScheduler::CreatePinned(PinnedFn fn, void* ctx) {
   const std::uint32_t idx = AllocNode();
   Node& n = NodeAt(idx);
   n.pin_fn = fn;
-  n.pin_ctx = ctx;
+  n.ctx = ctx;
   n.loc = kLocParked;
   return idx;
 }
@@ -228,7 +261,6 @@ void TimerWheelScheduler::DestroyPinned(std::uint32_t idx) {
   DCTCPP_DASSERT(n.pin_fn != nullptr);
   CancelPinned(idx);
   n.pin_fn = nullptr;
-  n.pin_ctx = nullptr;
   FreeNode(n, idx);
 }
 
@@ -398,8 +430,7 @@ Tick TimerWheelScheduler::NextTime() {
 Tick TimerWheelScheduler::RunNext() {
   Tick t;
   PinnedFn pin_fn;
-  void* pin_ctx;
-  InlineAction action;
+  void* ctx;
   {
     // Pop machinery only; dispatch happens outside the scope so callback
     // cycles land in their own phases (demux/socket/enqueue) or kOther.
@@ -433,15 +464,15 @@ Tick TimerWheelScheduler::RunNext() {
       }
     }
     // Pinned nodes just park (their callback is a bare fn+ctx pair, loaded
-    // below before dispatch). One-shot nodes move the action out and recycle
-    // *before* running it, so the callback may freely schedule (and even
-    // land on this node's id with a fresh generation).
+    // here before dispatch). One-shot nodes recycle *before* their action
+    // runs, so the callback may freely schedule (and even land on this
+    // node's id with a fresh generation); the action slot itself stays
+    // held until Dispatch has run it.
     pin_fn = n.pin_fn;
-    pin_ctx = n.pin_ctx;
+    ctx = n.ctx;
     if (pin_fn != nullptr) {
       n.loc = kLocParked;
     } else {
-      action = std::move(n.action);
       FreeNode(n, idx);
     }
     --live_count_;
@@ -462,11 +493,7 @@ Tick TimerWheelScheduler::RunNext() {
       cached_from_heap_ = false;
     }
   }
-  if (pin_fn != nullptr) {
-    pin_fn(pin_ctx);  // may re-arm (or destroy) its own node
-  } else {
-    action();
-  }
+  Dispatch(pin_fn, ctx);  // may re-arm (or destroy) a pinned node
   return t;
 }
 
@@ -510,36 +537,31 @@ std::uint64_t TimerWheelScheduler::RunSlotBatch(const bool* stop) {
     // Two-stage software pipeline over the burst: pull the node two ahead
     // into cache (the address computation is just a chunk-pointer load, no
     // dependent dereference), and the *context object* one ahead — by then
-    // that node's line is resident, so reading pin_ctx doesn't stall. The
-    // contexts are the EgressPorts/sockets about to run; their first line
-    // is exactly what the continuation touches first.
+    // that node's line is resident, so reading ctx doesn't stall. The
+    // contexts are the EgressPorts/sockets about to run (or a one-shot's
+    // action slot); their first line is exactly what dispatch touches
+    // first.
     if (b + 2 < batch_.size()) {
       __builtin_prefetch(&NodeAt(batch_[b + 2].idx), 0, 3);
     }
     if (b + 1 < batch_.size()) {
-      void* const next_ctx = NodeAt(batch_[b + 1].idx).pin_ctx;
+      void* const next_ctx = NodeAt(batch_[b + 1].idx).ctx;
       if (next_ctx != nullptr) __builtin_prefetch(next_ctx, 0, 3);
     }
     const BatchEntry e = batch_[b];
     Node& n = NodeAt(e.idx);
     if (n.loc != kLocBatch || n.seq != e.seq) continue;  // cancelled mid-batch
     const PinnedFn pin_fn = n.pin_fn;
-    void* const pin_ctx = n.pin_ctx;
-    InlineAction action;
+    void* const ctx = n.ctx;
     if (pin_fn != nullptr) {
       n.loc = kLocParked;
     } else {
-      action = std::move(n.action);
       FreeNode(n, e.idx);
     }
     --live_count_;
     ++executed_;
     ++ran;
-    if (pin_fn != nullptr) {
-      pin_fn(pin_ctx);
-    } else {
-      action();
-    }
+    Dispatch(pin_fn, ctx);
   }
   return ran;
 }
@@ -559,7 +581,9 @@ EventId TimerWheelScheduler::ScheduleAtWithSeq(Tick at, Action action,
   Node& n = NodeAt(idx);
   n.at = at;
   n.seq = seq;
-  n.action = std::move(action);
+  InlineAction* const slot = AllocAction();
+  *slot = std::move(action);
+  n.ctx = slot;
   Place(idx, n);
   ++live_count_;
   // Restored seqs are arbitrary relative to the cached minimum (a tie with

@@ -12,9 +12,12 @@
 // Events live in a free-listed pool of intrusively doubly-linked nodes, so
 // scheduling performs no heap allocation in steady state and cancellation
 // is an O(1) unlink — no `unordered_set`, no lazy tombstones on the hot
-// path. `EventId`s carry a per-node generation counter, so a stale handle
-// (fired or cancelled) can never cancel a later event that reuses the same
-// pool slot.
+// path. One-shot events keep their InlineAction in a second free-listed
+// pool beside the nodes: pinned nodes (every port, socket timer and host
+// arrival) never carry an action, so the node itself stays 48 bytes.
+// `EventId`s carry a per-node generation counter, so a stale handle (fired
+// or cancelled) can never cancel a later event that reuses the same pool
+// slot.
 //
 // Determinism contract (identical to the binary-heap reference scheduler
 // in tests/reference/, proven by tests/scheduler_diff_test.cc): events
@@ -147,9 +150,13 @@ class TimerWheelScheduler {
     *seq = n.seq;
   }
 
-  /// Bytes held by the node pool (footprint accounting for the churn
-  /// bench's bytes-per-flow gate).
-  std::size_t PoolBytes() const { return chunks_.size() * kChunkSize * sizeof(Node); }
+  /// Bytes held by the node and action pools (footprint accounting for
+  /// the churn bench's bytes-per-flow gate).
+  std::size_t PoolBytes() const {
+    return chunks_.size() * kChunkSize * sizeof(Node) +
+           action_chunks_.size() * kActionChunkSize * sizeof(InlineAction) +
+           free_actions_.capacity() * sizeof(InlineAction*);
+  }
 
   /// Events currently parked in the far-future overflow heap (untracked
   /// stale entries excluded). Exposed for tests.
@@ -180,23 +187,24 @@ class TimerWheelScheduler {
     kLocBatch = 4,   // unlinked into the same-tick run-buffer, not yet run
   };
 
-  // Field order is deliberate: everything the wheel machinery touches
-  // (placement, slot-list links, cascades, the scan) sits in the first 48
-  // bytes — one cache line per node — with the action buffer, only read at
-  // dispatch, last.
+  // 48 bytes, everything the wheel machinery touches (placement, slot-list
+  // links, cascades, the scan) plus the dispatch pair. A one-shot node's
+  // action lives out of line in the action pool, reached through `ctx`, so
+  // pinned nodes pay nothing for a buffer they never use.
   struct Node {
     Tick at = 0;
     std::uint64_t seq = 0;
     PinnedFn pin_fn = nullptr;  // set <=> pinned node
-    void* pin_ctx = nullptr;
+    void* ctx = nullptr;  // pinned: pin_fn's argument; one-shot: its action
     std::uint32_t gen = 0;
     std::uint32_t next = kNil;
     std::uint32_t prev = kNil;
     std::int8_t loc = kLocFree;
     std::int8_t level = -1;
     std::int16_t slot = -1;
-    InlineAction action;
   };
+  static_assert(sizeof(Node) == 48,
+                "a wheel node is per-flow memory: keep it at 48 bytes");
 
   /// Paired slot header: head and tail of a slot's intrusive list share a
   /// cache line (and usually a single 8-byte load/store), where the old
@@ -231,6 +239,7 @@ class TimerWheelScheduler {
 
   static constexpr std::uint32_t kChunkShift = 10;  // 1024 nodes per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  static constexpr std::uint32_t kActionChunkSize = 256;
 
   Node& NodeAt(std::uint32_t idx) {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
@@ -240,7 +249,18 @@ class TimerWheelScheduler {
   }
 
   std::uint32_t AllocNode();
+  /// Recycles a node. A one-shot node's action is not touched: the caller
+  /// runs or releases it.
   void FreeNode(Node& n, std::uint32_t idx);
+  /// Takes an empty action slot; FreeAction destroys the callable and
+  /// returns the slot. Slots never move (chunked), so a callback may
+  /// schedule while its own action is still running in place.
+  InlineAction* AllocAction();
+  void FreeAction(InlineAction* action);
+  /// Runs a popped event from its saved (pin_fn, ctx) pair: a pinned
+  /// callback, or a one-shot action run in place and then released. The
+  /// node is already parked or freed, so either may re-arm or reuse it.
+  void Dispatch(PinnedFn pin_fn, void* ctx);
 
   /// Homes a node into the wheel (or overflow heap) based on `at - now_`.
   void Place(std::uint32_t idx, Node& n);
@@ -302,6 +322,10 @@ class TimerWheelScheduler {
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::uint32_t alloc_count_ = 0;
   std::uint32_t free_head_ = kNil;
+
+  // One-shot action pool: chunked so slots never move, LIFO free stack.
+  std::vector<std::unique_ptr<InlineAction[]>> action_chunks_;
+  std::vector<InlineAction*> free_actions_;
 
   // Memoized earliest event, kept exact across ScheduleAt (monotonic seq
   // means a later-scheduled tie never displaces the cached minimum).

@@ -28,6 +28,8 @@ void TcpSocket::StaticAssertHotLayout() {
   static_assert(offsetof(TcpSocket, iss_) >
                     offsetof(TcpSocket, stats_),
                 "cold section must follow the hot section");
+  static_assert(sizeof(TcpSocket) <= 848,
+                "a socket is per-flow memory: keep it within 848 bytes");
 }
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop

@@ -65,11 +65,14 @@ class TcpSocket {
     kLastAck,    ///< peer closed, our FIN sent, awaiting its ACK
   };
 
-  // Per-delivery callbacks are allocation-free InlineFunction delegates:
-  // the usual [this]/[this, conn] captures store inline, and invoking is
-  // one indirect call with no std::function machinery.
-  using DataCallback = InlineFunction<void(Bytes)>;
-  using Callback = InlineFunction<void()>;
+  // Per-delivery callbacks are InlineHandler delegates: 32 bytes each,
+  // at most 24 bytes of trivially copyable capture (a [this], [this, conn]
+  // or [this, host, idx]), never boxed, and invoked with one indirect call.
+  // Sockets are per-flow memory, so a caller with a larger or owning
+  // callback keeps it in its own object and hands the socket a [this]
+  // that forwards to it (see AggregatorClient and BulkSender).
+  using DataCallback = InlineHandler<void(Bytes)>;
+  using Callback = InlineHandler<void()>;
 
   /// Owning handle for sockets allocated from the simulation's arena
   /// (accepted sockets live there; see util/arena.h for lifetime rules).
@@ -102,16 +105,16 @@ class TcpSocket {
   /// Closes the sending direction: a FIN follows all queued data.
   void Close();
 
-  void set_on_connected(Callback cb) { on_connected_ = std::move(cb); }
+  void set_on_connected(Callback cb) { on_connected_ = cb; }
   /// In-order payload delivery, called with the newly delivered byte count.
-  void set_on_data(DataCallback cb) { on_data_ = std::move(cb); }
+  void set_on_data(DataCallback cb) { on_data_ = cb; }
   /// Peer sent FIN (all of its data has been delivered).
-  void set_on_remote_close(Callback cb) { on_remote_close_ = std::move(cb); }
+  void set_on_remote_close(Callback cb) { on_remote_close_ = cb; }
   /// Send-side progress: called with the newly acknowledged byte count.
-  void set_on_acked(DataCallback cb) { on_acked_ = std::move(cb); }
+  void set_on_acked(DataCallback cb) { on_acked_ = cb; }
   /// Socket reached kClosed (both directions done); fires at the end of
   /// FinalizeClose. Used by churn workloads to recycle pooled sockets.
-  void set_on_closed(Callback cb) { on_closed_ = std::move(cb); }
+  void set_on_closed(Callback cb) { on_closed_ = cb; }
 
   /// Attaches a trace probe (not owned); nullptr detaches.
   void set_probe(TcpProbe* probe) { probe_ = probe; }

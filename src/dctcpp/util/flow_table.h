@@ -84,12 +84,20 @@ class FlatFlowTable {
     const std::size_t idx = FindSlot(key);
     return idx == kNotFound ? nullptr : &slots_[idx].value;
   }
+  V* Find(std::uint64_t key) {
+    const std::size_t idx = FindSlot(key);
+    return idx == kNotFound ? nullptr : &slots_[idx].value;
+  }
 
   bool Contains(std::uint64_t key) const { return FindSlot(key) != kNotFound; }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return slots_.size(); }
+  /// Heap bytes held by the slot and state arrays.
+  std::size_t bytes() const {
+    return slots_.capacity() * sizeof(Slot) + state_.capacity();
+  }
 
  private:
   enum State : std::uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };

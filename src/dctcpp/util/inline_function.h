@@ -3,21 +3,24 @@
 // Two templates generalize `InlineAction` (sim/inline_action.h) beyond the
 // nullary scheduler signature:
 //
-//  - InlineHandler<R(Args...)>: a trivially copyable delegate with a small
-//    fixed buffer and NO heap fallback. This is the packet-demux handler
-//    type: every stored callable is a pointer capture or two, the whole
-//    delegate is memcpy-able (so open-addressing tables can relocate slots
-//    freely), and the dispatcher can copy it to the stack before invoking —
-//    which makes self-unregistration during dispatch safe without any
-//    reference counting. Oversized or non-trivially-copyable callables are
-//    a compile error, not a silent heap box.
+//  - InlineHandler<R(Args...)>: a 32-byte trivially copyable delegate
+//    with a 24-byte buffer and NO heap fallback. It stores everything held
+//    per connection: packet-demux handlers, Timer callbacks and the
+//    TcpSocket callbacks (on_connected / on_data / on_remote_close /
+//    on_acked / on_closed). Every such callable is a pointer capture or
+//    two plus an id or two; the whole delegate is memcpy-able (so
+//    open-addressing tables can relocate slots freely), and the dispatcher
+//    can copy it to the stack before invoking — which makes
+//    self-unregistration during dispatch safe without any reference
+//    counting. Oversized or non-trivially-copyable callables are a compile
+//    error, not a silent heap box.
 //
 //  - InlineFunction<R(Args...)>: move-only with a 48-byte inline buffer and
-//    a transparent heap box for larger captures, exactly like InlineAction.
-//    This replaces std::function for the per-delivery socket callbacks
-//    (on_data / on_acked / on_connected / on_remote_close): the common
-//    [this]- or [this, conn]-capturing lambdas store and invoke without
-//    touching the allocator.
+//    a transparent heap box for larger captures, exactly like InlineAction
+//    (64 bytes in all). It remains for application completions that take
+//    a caller's arbitrary lambda (workload/apps.h's `Completion`: e.g.
+//    AggregatorClient::Request and ::Connect); the app keeps it as a
+//    member and hands its socket a [this] handler that forwards to it.
 #pragma once
 
 #include <cstddef>

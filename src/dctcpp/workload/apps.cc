@@ -55,13 +55,16 @@ AggregatorClient::AggregatorClient(Host& host,
   socket_->set_on_data([this](Bytes n) { OnData(n); });
 }
 
-void AggregatorClient::Connect(TcpSocket::Callback on_connected) {
-  socket_->set_on_connected(std::move(on_connected));
+void AggregatorClient::Connect(Completion on_connected) {
+  on_connected_ = std::move(on_connected);
+  socket_->set_on_connected([this] {
+    if (on_connected_) on_connected_();
+  });
   socket_->Connect(server_, server_port_);
 }
 
 void AggregatorClient::Request(Bytes response_bytes,
-                               TcpSocket::Callback on_response) {
+                               Completion on_response) {
   DCTCPP_ASSERT(response_bytes > 0);
   pending_.push_back(Pending{response_bytes, std::move(on_response)});
   socket_->Send(request_size_);
@@ -121,7 +124,7 @@ BulkSender::BulkSender(Host& host, std::unique_ptr<CongestionOps> cc,
                                    socket_config)) {}
 
 void BulkSender::Start(Bytes size, bool close_when_done,
-                       TcpSocket::Callback on_complete) {
+                       Completion on_complete) {
   DCTCPP_ASSERT(size > 0);
   size_ = size;
   close_when_done_ = close_when_done;

@@ -5,8 +5,10 @@
 // All per-connection state (accepted sockets, Conn records, client
 // sockets) is allocated from the simulation's arena: setup touches the
 // allocator a handful of times, same-flow state sits adjacent in memory,
-// and teardown is O(slabs). Completion callbacks are allocation-free
-// InlineFunction delegates (large captures still box transparently).
+// and teardown is O(slabs). Application completions (`Completion`) are
+// InlineFunction delegates, so callers may capture as much as they like
+// (large captures box transparently); an app keeps its completion as a
+// member and gives the socket a 32-byte [this] handler that forwards to it.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +18,12 @@
 
 #include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/arena.h"
+#include "dctcpp/util/inline_function.h"
 
 namespace dctcpp {
+
+/// A one-shot application completion (connected, response, transfer done).
+using Completion = InlineFunction<void()>;
 
 /// Worker-side server: on each established connection, every
 /// `request_size` bytes received trigger a response of `response_size()`
@@ -71,11 +77,11 @@ class AggregatorClient {
                    PortNum server_port, Bytes request_size);
 
   /// Opens the connection; `on_connected` fires when established.
-  void Connect(TcpSocket::Callback on_connected);
+  void Connect(Completion on_connected);
 
   /// Issues one request expecting `response_bytes` back. Requests on one
   /// connection are served FIFO.
-  void Request(Bytes response_bytes, TcpSocket::Callback on_response);
+  void Request(Bytes response_bytes, Completion on_response);
 
   TcpSocket& socket() { return *socket_; }
   bool Connected() const { return socket_->Established(); }
@@ -86,13 +92,14 @@ class AggregatorClient {
 
   struct Pending {
     Bytes remaining;
-    TcpSocket::Callback on_response;
+    Completion on_response;
   };
 
   Bytes request_size_;
   NodeId server_;
   PortNum server_port_;
   Bytes total_received_ = 0;
+  Completion on_connected_;
   std::deque<Pending> pending_;
   TcpSocket::Ptr socket_;
 };
@@ -137,8 +144,7 @@ class BulkSender {
 
   /// Starts the transfer. `on_complete` fires when all `size` bytes are
   /// acknowledged (and the FIN sent, when `close_when_done`).
-  void Start(Bytes size, bool close_when_done,
-             TcpSocket::Callback on_complete);
+  void Start(Bytes size, bool close_when_done, Completion on_complete);
 
   TcpSocket& socket() { return *socket_; }
   Bytes acked_bytes() const { return socket_->StreamAcked(); }
@@ -153,7 +159,7 @@ class BulkSender {
   bool close_when_done_ = false;
   bool completed_ = false;
   Tick started_at_ = 0;
-  TcpSocket::Callback on_complete_;
+  Completion on_complete_;
   TcpSocket::Ptr socket_;
 };
 

@@ -316,6 +316,7 @@ ChurnFootprint ChurnWorkload::MeasureFootprint() {
                      hc->server_free.capacity() +
                      hc->server_retired.capacity()) *
                     sizeof(std::uint32_t);
+    f.port_table_bytes += hc->host->PortTableBytes();
   }
   for (int i = 0; i < config_.shards; ++i) {
     Simulator& sim = psim_->shard(i);
@@ -324,7 +325,8 @@ ChurnFootprint ChurnWorkload::MeasureFootprint() {
   }
   f.peak_live = peak_live_;
   f.bytes_per_flow =
-      static_cast<double>(f.pool_bytes + f.scheduler_bytes + f.arena_bytes) /
+      static_cast<double>(f.pool_bytes + f.scheduler_bytes + f.arena_bytes +
+                          f.port_table_bytes) /
       static_cast<double>(std::max<std::int64_t>(1, peak_live_));
   return f;
 }

@@ -120,14 +120,16 @@ std::uint64_t Fingerprint(const ChurnStats& s);
 /// Pool + engine memory attributable to sustaining the flow population.
 /// Not counted: heap a live socket owns outside its slot -- its
 /// CongestionOps object and the SACK IntervalSet / receive-buffer
-/// vectors -- and the fabric itself (hosts, switches, ports, routes).
+/// vectors -- and the fabric itself (switches, ports, routes, and each
+/// host's demux tables; only the hosts' port tables are counted).
 struct ChurnFootprint {
   std::size_t materialized_slots = 0;  ///< client + server slots allocated
   /// Allocated slots, the per-host slot pointer tables, and the
   /// free/retired lists.
   std::size_t pool_bytes = 0;
-  std::size_t scheduler_bytes = 0;  ///< timer-wheel node pools
+  std::size_t scheduler_bytes = 0;  ///< timer-wheel node + action pools
   std::size_t arena_bytes = 0;      ///< per-shard arena reservations
+  std::size_t port_table_bytes = 0;  ///< hosts' local-port refcount tables
   std::int64_t peak_live = 0;
   double bytes_per_flow = 0.0;  ///< total / max(1, peak_live)
 };

@@ -2,6 +2,8 @@
 // switch routing, host demux, and topology construction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dctcpp/net/host.h"
 #include "dctcpp/net/link.h"
 #include "dctcpp/net/packet.h"
@@ -264,6 +266,50 @@ TEST(HostTest, AllocatePortSkipsLivePorts) {
   host.Listen(static_cast<PortNum>(first + 1), [](const Packet&) {});
   host.Listen(static_cast<PortNum>(first + 2), [](const Packet&) {});
   EXPECT_EQ(host.AllocatePort(), static_cast<PortNum>(first + 3));
+}
+
+// The port table holds live ports only: 60,000 registrations come and go
+// (half on allocated ephemeral ports, half sharing the listener's port, as
+// a server's accepted connections do), and afterwards the table holds just
+// the ports still registered plus the listener. Allocation still skips
+// live ports and wraps at the top of the range.
+TEST(HostTest, PortTableTracksOnlyLivePorts) {
+  Simulator sim;
+  Host host(sim, 1, "h");
+  const Host::PacketHandler handler = [](const Packet&) {};
+  constexpr PortNum kListenPort = 9000;
+  constexpr int kClients = 30000;
+  host.Listen(kListenPort, handler);
+  std::vector<PortNum> client_ports;
+  for (int i = 0; i < kClients; ++i) {
+    const PortNum port = host.AllocatePort();
+    host.RegisterConnection(port, /*remote=*/2, kListenPort, handler);
+    client_ports.push_back(port);
+  }
+  for (int i = 0; i < kClients; ++i) {
+    host.RegisterConnection(kListenPort, /*remote=*/3 + i, 5000, handler);
+  }
+  EXPECT_EQ(host.LivePortCount(), static_cast<std::size_t>(kClients) + 1);
+
+  // Keep every 1000th client (ports 10000, 11000, ...); drop the rest and
+  // every server-side connection.
+  for (int i = 0; i < kClients; ++i) {
+    if (i % 1000 != 0) host.UnregisterConnection(client_ports[i], 2, kListenPort);
+    host.UnregisterConnection(kListenPort, 3 + i, 5000);
+  }
+  EXPECT_EQ(host.LivePortCount(),
+            static_cast<std::size_t>(kClients / 1000) + 1);
+  EXPECT_GT(host.PortTableBytes(), 0u);
+
+  // Wrap: 65533 is free, 65534 is live, then the range restarts at 10000,
+  // which is still live, so the next free port is 10001.
+  host.RegisterConnection(65534, 2, kListenPort, handler);
+  host.SetNextEphemeralForTest(65533);
+  EXPECT_EQ(host.AllocatePort(), 65533);
+  EXPECT_EQ(host.AllocatePort(), 10001);
+  EXPECT_EQ(host.AllocatePort(), 10002);
+  EXPECT_EQ(host.LivePortCount(),
+            static_cast<std::size_t>(kClients / 1000) + 2);
 }
 
 TEST(HostDeathTest, AllocatePortFailsLoudlyWhenRangeExhausted) {

@@ -234,6 +234,92 @@ TEST(TimerWheelTest, InlineActionStoresSmallCapturesInline) {
   EXPECT_FALSE(static_cast<bool>(small));  // NOLINT: moved-from is empty
 }
 
+// One-shot actions live in a pool beside the nodes. Slots recycle across
+// fire, cancel and reschedule: a second round of the same number of
+// events reuses them and the pools do not grow, and a stale EventId (its
+// event fired or was cancelled, its node reused) cancels nothing.
+TEST(TimerWheelTest, ActionSlotsRecycleAcrossFireCancelAndReschedule) {
+  TimerWheelScheduler sched;
+  constexpr int kEvents = 600;  // more than one action chunk
+  int fired = 0;
+  std::vector<EventId> ids;
+  for (int i = 0; i < kEvents; ++i) {
+    ids.push_back(sched.ScheduleAt(10 + i, [&fired] { ++fired; }));
+  }
+  for (int i = 0; i < kEvents; i += 2) sched.Cancel(ids[i]);
+  while (!sched.Empty()) sched.RunNext();
+  EXPECT_EQ(fired, kEvents / 2);
+  const std::size_t pool_bytes = sched.PoolBytes();
+
+  // Reschedule: every node and action slot comes off a free list.
+  fired = 0;
+  std::vector<EventId> again;
+  for (int i = 0; i < kEvents; ++i) {
+    again.push_back(sched.ScheduleAt(2000 + i, [&fired] { ++fired; }));
+  }
+  EXPECT_EQ(sched.PoolBytes(), pool_bytes);
+  for (const EventId stale : ids) sched.Cancel(stale);  // fired or cancelled
+  EXPECT_EQ(sched.PendingCount(), static_cast<std::size_t>(kEvents));
+  sched.Cancel(again[0]);
+  sched.Cancel(again[0]);  // second cancel of the same id: stale
+  while (!sched.Empty()) sched.RunNext();
+  EXPECT_EQ(fired, kEvents - 1);
+  EXPECT_EQ(sched.PoolBytes(), pool_bytes);
+}
+
+// A boxed (> 48-byte) action is destroyed exactly once whether it fires
+// (pop-per-event or the same-tick batch path), is cancelled, or is still
+// pending when the scheduler dies; a fired one is released right after it
+// runs, not when its slot is next reused.
+TEST(TimerWheelTest, BoxedActionIsDestroyedExactlyOnce) {
+  struct Boxed {
+    Boxed(int* run_count, int* destroy_count)
+        : runs(run_count), destroyed(destroy_count) {}
+    Boxed(Boxed&& o) noexcept
+        : runs(o.runs), destroyed(o.destroyed), owner(o.owner) {
+      o.owner = false;
+    }
+    ~Boxed() {
+      if (owner) ++*destroyed;
+    }
+    void operator()() { ++*runs; }
+    char pad[2 * InlineAction::kInlineSize] = {};
+    int* runs;
+    int* destroyed;
+    bool owner = true;  ///< false once moved from
+  };
+  static_assert(sizeof(Boxed) > InlineAction::kInlineSize);
+
+  int runs = 0;
+  int destroyed = 0;
+  {
+    TimerWheelScheduler sched;
+    sched.ScheduleAt(5, Boxed(&runs, &destroyed));
+    const EventId cancelled = sched.ScheduleAt(6, Boxed(&runs, &destroyed));
+    sched.ScheduleAt(7, Boxed(&runs, &destroyed));
+    EXPECT_EQ(destroyed, 0);
+    sched.Cancel(cancelled);
+    EXPECT_EQ(destroyed, 1);
+    sched.Cancel(cancelled);  // stale: nothing more to destroy
+    EXPECT_EQ(destroyed, 1);
+    sched.RunNext();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 2);
+
+    // Three same-tick events drain through the batch path.
+    for (int i = 0; i < 3; ++i) sched.ScheduleAt(50, Boxed(&runs, &destroyed));
+    bool stop = false;
+    Tick now = 0;
+    EXPECT_EQ(sched.RunLoop(50, &stop, &now), 4u);  // tick 7, then tick 50
+    EXPECT_EQ(runs, 5);
+    EXPECT_EQ(destroyed, 6);
+
+    sched.ScheduleAt(100, Boxed(&runs, &destroyed));  // dies pending
+  }
+  EXPECT_EQ(runs, 5);
+  EXPECT_EQ(destroyed, 7);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator
 

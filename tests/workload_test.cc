@@ -3,6 +3,7 @@
 // the benchmark-traffic experiment, and the sweep harness.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "dctcpp/net/topology.h"
@@ -413,6 +414,30 @@ TEST(ChurnTest, TenThousandCyclesNoResourceGrowth) {
   EXPECT_LT(s.live_flows, 3 * w.config().target_live_flows);
 }
 
+// Per-flow memory gate. A 2,000-flow world is small enough for tier 1 yet
+// large enough that per-flow state (socket slots, wheel nodes, port
+// tables) outweighs the fixed pool chunks. It measured 2,431.4 B per flow
+// with 48-byte wheel nodes, 840-byte sockets and sparse port tables; the
+// bound is 1.2x that, so a per-connection regression fails in tier 1
+// rather than only in the full-scale soak.
+TEST(ChurnTest, FootprintPerFlowStaysBounded) {
+  ChurnConfig cfg = SmallChurn(1);
+  cfg.target_live_flows = 2000;
+  cfg.mean_lifetime = 4 * kMillisecond;
+  cfg.prewarm = 2 * kMillisecond;
+  cfg.max_live_per_host = (2000 / 16) * 8 / 5 + 16;
+  ChurnWorkload w(cfg);
+  w.Start();
+  for (Tick t = 3 * kMillisecond; t <= 12 * kMillisecond;
+       t += 3 * kMillisecond) {
+    w.RunTo(t);
+  }
+  const ChurnFootprint f = w.MeasureFootprint();
+  ASSERT_GE(f.peak_live, 1600);
+  EXPECT_GT(f.port_table_bytes, 0u);
+  EXPECT_LE(f.bytes_per_flow, 1.2 * 2431.4);
+}
+
 // A pool far below the offered load (4 slots per host against ~16 live
 // flows per host) drops arrivals and ignores SYNs rather than growing.
 // The counts were recorded when every slot was still built in the
@@ -506,8 +531,9 @@ TEST(ChurnTest, SameTickTupleReuseDeliversToNewSocket) {
 
   TcpSocket::Ptr client1 =
       TcpSocket::Create(a, MakeCongestionOps(Protocol::kDctcp), scfg);
-  client1->set_on_closed([&] {
-    // Same tick as the teardown: recycle the exact 4-tuple.
+  // Same tick as the teardown: recycle the exact 4-tuple. This captures
+  // more than a socket callback holds, so the callback forwards to it.
+  const std::function<void()> reuse_tuple = [&] {
     reused_port = client1->local_port();
     a.SetNextEphemeralForTest(reused_port);
     client2 = TcpSocket::Create(a, MakeCongestionOps(Protocol::kDctcp), scfg);
@@ -516,7 +542,8 @@ TEST(ChurnTest, SameTickTupleReuseDeliversToNewSocket) {
     client2->Send(kSize);
     client2->Close();
     second_started = true;
-  });
+  };
+  client1->set_on_closed([&reuse_tuple] { reuse_tuple(); });
   client1->Connect(b.id(), 5000);
   client1->Send(kSize);
   client1->Close();
