@@ -5,10 +5,9 @@
 //                   every window with two or more active shards pays.
 //   drain           BM_StagingAppendDrain — SoA outbox staging: append a
 //                   window's handoffs, walk them, clear.
-//   merge           BM_MailboxMergeAndDrain (per-entry Push) and
-//                   BM_CalendarBulkMerge (AppendRaw + FinishBulk) — the
-//                   coordinator's cost of folding staged handoffs into
-//                   peer arrival calendars.
+//   merge           BM_InboundMergeAndDrain — the coordinator's cost of
+//                   appending staged handoffs to per-port inbound rings,
+//                   plus the destination calendar's drain over them.
 //
 // These bound the price of sharding: a window is profitable when the
 // events it runs cost more than one barrier plus its handoff merges.
@@ -20,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dctcpp/net/parallel.h"
@@ -30,43 +30,50 @@
 namespace dctcpp {
 namespace {
 
-CalendarEntry MakeEntry(Rng& rng, Tick base) {
-  CalendarEntry e;
-  e.at = base + static_cast<Tick>(rng.Next() % 64);
-  e.key = rng.Next();
-  e.sink = nullptr;
-  return e;
-}
+class NullSink : public PacketSink {
+ public:
+  void Deliver(const Packet& pkt) override {
+    benchmark::DoNotOptimize(pkt.uid);
+  }
+};
 
-/// Per-packet cost of the arrival calendar: push a window's worth of
-/// handoffs, then drain them in canonical order — exactly the work
-/// MergeOutboxes plus the next window's delivery loop do per packet.
-void BM_MailboxMergeAndDrain(benchmark::State& state) {
+/// Per-packet cost of the cross-shard arrival path: append a window's
+/// worth of handoffs to 16 ports' inbound rings (each in wire order, with
+/// ticks colliding across ports), then drain the calendar in canonical
+/// order — the work MergeStaging plus the next window's delivery loop do
+/// per packet.
+void BM_InboundMergeAndDrain(benchmark::State& state) {
+  constexpr int kPorts = 16;
   const int per_window = static_cast<int>(state.range(0));
   Rng rng(42);
+  NullSink sink;
   ArrivalCalendar calendar;
-  std::vector<CalendarEntry> outbox;
-  outbox.reserve(per_window);
+  std::vector<std::unique_ptr<InboundRing>> rings;
+  for (int p = 0; p < kPorts; ++p) {
+    rings.push_back(std::make_unique<InboundRing>(sink, 1, calendar));
+  }
+  std::vector<std::uint64_t> seq(kPorts, 0);
+  Packet pkt;
   Tick base = 0;
   std::uint64_t drained = 0;
   for (auto _ : state) {
-    outbox.clear();
     for (int i = 0; i < per_window; ++i) {
-      outbox.push_back(MakeEntry(rng, base));
+      const auto p = static_cast<std::size_t>(rng.Next() % kPorts);
+      const std::uint64_t key = (p << 32) | seq[p]++;
+      rings[p]->Append(base + static_cast<Tick>(i / 4), key, pkt);
     }
-    for (const CalendarEntry& e : outbox) calendar.Push(e);
     while (!calendar.Empty()) {
-      benchmark::DoNotOptimize(calendar.PopEarliest().key);
+      calendar.DeliverEarliest();
       ++drained;
     }
-    base += 64;  // windows advance; ticks never repeat across iterations
+    base += per_window;  // windows advance; ticks never repeat across them
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(drained));
   state.counters["ns_per_handoff"] = benchmark::Counter(
       static_cast<double>(drained), benchmark::Counter::kIsRate |
                                         benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_MailboxMergeAndDrain)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_InboundMergeAndDrain)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 /// Barrier overhead per window: dispatch S no-op shard tasks to the gang
 /// and join. This is the fixed cost every multi-shard window pays before
@@ -91,7 +98,7 @@ void BM_WindowGangBarrier(benchmark::State& state) {
 BENCHMARK(BM_WindowGangBarrier)->Arg(2)->Arg(4)->Arg(8);
 
 /// The drain half of a shard run: handoffs accumulate in the SoA staging
-/// buffer during the window (branch-light appends into five flat
+/// buffer during the window (branch-light appends into four flat
 /// vectors), then the merge walks them once and clears. Per-handoff cost
 /// of staging without the calendar.
 void BM_StagingAppendDrain(benchmark::State& state) {
@@ -103,8 +110,7 @@ void BM_StagingAppendDrain(benchmark::State& state) {
   std::uint64_t drained = 0;
   for (auto _ : state) {
     for (int i = 0; i < per_window; ++i) {
-      staging.Append(base + static_cast<Tick>(i), rng.Next(),
-                     static_cast<int>(rng.Next() & 3), nullptr, pkt);
+      staging.Append(base + static_cast<Tick>(i), rng.Next(), nullptr, pkt);
     }
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < staging.Size(); ++i) {
@@ -121,34 +127,6 @@ void BM_StagingAppendDrain(benchmark::State& state) {
                                         benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_StagingAppendDrain)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-/// Bulk merge path MergeStaging actually uses: AppendRaw a batch into the
-/// calendar, FinishBulk once (sift small suffixes, heapify big ones),
-/// then drain. Compare per-handoff cost with BM_MailboxMergeAndDrain's
-/// per-entry Push.
-void BM_CalendarBulkMerge(benchmark::State& state) {
-  const int per_window = static_cast<int>(state.range(0));
-  Rng rng(42);
-  ArrivalCalendar calendar;
-  Tick base = 0;
-  std::uint64_t drained = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < per_window; ++i) {
-      calendar.AppendRaw(MakeEntry(rng, base));
-    }
-    calendar.FinishBulk();
-    while (!calendar.Empty()) {
-      benchmark::DoNotOptimize(calendar.PopEarliest().key);
-      ++drained;
-    }
-    base += 64;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(drained));
-  state.counters["ns_per_handoff"] = benchmark::Counter(
-      static_cast<double>(drained), benchmark::Counter::kIsRate |
-                                        benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_CalendarBulkMerge)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 /// The serial alternative the gang competes with: the same S tasks run
 /// inline on the caller. The gap between this and BM_WindowGangBarrier is

@@ -461,7 +461,7 @@ int Main(int argc, char** argv) {
       "soak [%s]: peak_live=%lld started=%llu completed=%llu "
       "dropped=%llu+%llu violations=%llu wall=%.1fs "
       "(%.2fM events/s) bytes/flow=%.0f (scheduler=%zuB ports=%zuB) "
-      "peak_rss=%.1fMiB ckpt=%zuB restore=%s\n",
+      "demux=%zuB calendar=%zuB peak_rss=%.1fMiB ckpt=%zuB restore=%s\n",
       scale.name, static_cast<long long>(st.peak_live),
       static_cast<unsigned long long>(st.flows_started),
       static_cast<unsigned long long>(st.flows_completed),
@@ -470,7 +470,8 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(st.violations), soak.wall_s,
       static_cast<double>(st.events_executed) / soak.wall_s / 1e6,
       soak.footprint.bytes_per_flow, soak.footprint.scheduler_bytes,
-      soak.footprint.port_table_bytes, PeakRssMib(), soak.blob_bytes,
+      soak.footprint.port_table_bytes, soak.footprint.demux_table_bytes,
+      soak.footprint.calendar_bytes, PeakRssMib(), soak.blob_bytes,
       soak.restore_identical ? "bit-identical" : "DIVERGED");
 
   if (out_path != nullptr) {
@@ -510,12 +511,15 @@ int Main(int argc, char** argv) {
                  "\"pool_bytes\": %zu, "
                  "\"scheduler_bytes\": %zu, \"arena_bytes\": %zu, "
                  "\"port_table_bytes\": %zu, "
-                 "\"bytes_per_flow\": %.1f, \"peak_rss_mib\": %.1f, "
-                 "\"limit\": %.0f},\n",
+                 "\"bytes_per_flow\": %.1f, "
+                 "\"demux_table_bytes\": %zu, \"calendar_bytes\": %zu, "
+                 "\"peak_rss_mib\": %.1f, \"limit\": %.0f},\n",
                  soak.footprint.materialized_slots, soak.footprint.pool_bytes,
                  soak.footprint.scheduler_bytes, soak.footprint.arena_bytes,
                  soak.footprint.port_table_bytes,
-                 soak.footprint.bytes_per_flow, PeakRssMib(),
+                 soak.footprint.bytes_per_flow,
+                 soak.footprint.demux_table_bytes,
+                 soak.footprint.calendar_bytes, PeakRssMib(),
                  scale.bytes_per_flow_limit);
     std::fprintf(out, "  \"checkpoint_matrix_identical\": %s,\n",
                  matrix_ok ? "true" : "false");

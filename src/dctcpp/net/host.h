@@ -74,6 +74,8 @@ class Host : public PacketSink, public Checkpointable {
   /// listener), and the heap bytes of the table tracking them.
   std::size_t LivePortCount() const { return port_refs_.size(); }
   std::size_t PortTableBytes() const { return port_refs_.bytes(); }
+  /// Heap bytes of the connection demux table.
+  std::size_t DemuxTableBytes() const { return connections_.bytes(); }
 
   /// Packets that matched neither a connection nor a listener.
   std::uint64_t unmatched_packets() const { return unmatched_; }

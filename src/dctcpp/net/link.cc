@@ -26,25 +26,34 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
       peer_(peer),
       queue_(config.buffer_bytes, config.ecn_threshold),
       deliver_ev_(
-          sim, [](void* p) { static_cast<EgressPort*>(p)->DeliverHead(); },
+          sim,
+          [](void* p) {
+            auto* port = static_cast<EgressPort*>(p);
+            Tick at = 0;
+            std::uint64_t key = 0;
+            if (port->DeliverHead(&at, &key)) port->deliver_ev_.ArmAt(at);
+          },
           this) {
   sim.RegisterCheckpointable(this);
   if (sim.parallel() != nullptr) {
     psim_ = sim.parallel();
     src_shard_ = sim.shard_id();
-    dst_shard_ = peer_sim != nullptr ? peer_sim->shard_id() : src_shard_;
+    const int dst_shard =
+        peer_sim != nullptr ? peer_sim->shard_id() : src_shard_;
     // Every port claims a gid (whether or not it crosses shards) so the
     // calendar key space depends only on topology-construction order.
     port_gid_ = sim.NextPortId();
-    // Calendar entries name this port by gid (key >> 32); the registry
-    // lets checkpoint restore re-resolve each entry's sink pointer.
-    psim_->RegisterPortSink(port_gid_, &peer_, dst_shard_);
+    if (dst_shard == src_shard_) {
+      calendar_ = &psim_->calendar(src_shard_);
+    } else {
+      inbound_ = &psim_->AddInboundRing(peer_, dst_shard);
+    }
     // A zero-delay link would make the conservative lookahead zero.
     DCTCPP_ASSERT(config.propagation_delay > 0);
     // Feed the window width: this link bounds how fast an event on
-    // src_shard_ can influence dst_shard_ (or, intra-shard, how far the
+    // src_shard_ can influence dst_shard (or, intra-shard, how far the
     // shard's wheel may run before re-reading its own calendar).
-    psim_->ObserveChannel(src_shard_, dst_shard_, config.propagation_delay);
+    psim_->ObserveChannel(src_shard_, dst_shard, config.propagation_delay);
   }
   if (config.red) {
     if (psim_ != nullptr) {
@@ -121,21 +130,28 @@ void EgressPort::EnqueueForTransmit(const Packet& pkt) {
   const Packet& stored = queue_.Back();
   tail_fin_ = std::max(now, tail_fin_) + TxTime(stored.WireSize());
   const Tick due = tail_fin_ + config_.propagation_delay;
-  if (psim_ != nullptr) {
-    // The wire is the destination shard's arrival calendar. (port gid,
-    // wire seq) makes the key unique and canonical — the same packet
-    // sorts to the same place whatever the shard count. A cross-shard
-    // `due` is at or past the current window's end (DESIGN.md Sec. 10),
-    // so depositing it now is safe.
-    const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
-    psim_->Handoff(src_shard_, dst_shard_, due, key, &peer_, stored);
+  // (port gid, wire seq) makes the key unique and canonical — the same
+  // packet sorts to the same place whatever the shard count.
+  const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
+  if (inbound_ != nullptr) {
+    // A cross-shard `due` is at or past the current window's end
+    // (DESIGN.md Sec. 10), so handing the copy off now is safe.
+    psim_->Handoff(src_shard_, *inbound_, due, key, stored);
   } else {
     // Due times are strictly increasing, so `due_` stays FIFO-ordered and
-    // only its head needs an armed event.
-    if (due_.Empty()) deliver_ev_.ArmAt(due);
+    // only its head needs arming.
+    if (due_.Empty()) ArmWire(due, key);
     due_.PushBack(due);
   }
   if (!transmitting_) BeginServiceAt(now);
+}
+
+void EgressPort::ArmWire(Tick at, std::uint64_t key) {
+  if (calendar_ != nullptr) {
+    calendar_->Arm(at, key, this);
+  } else {
+    deliver_ev_.ArmAt(at);
+  }
 }
 
 void EgressPort::BeginServiceAt(Tick start) {
@@ -150,8 +166,8 @@ void EgressPort::SettleSlow(Tick t) {
   while (transmitting_ && t_fin_ <= t) {
     transmitting_ = false;
     in_flight_bytes_ = 0;
-    if (psim_ != nullptr) {
-      // Its calendar copy was deposited at admission.
+    if (inbound_ != nullptr) {
+      // Its copy was handed off at admission.
       queue_.DropServing();
       Retire();
     } else {
@@ -165,7 +181,7 @@ void EgressPort::Retire() {
   if ((++retired_ & (kConservationPeriod - 1)) == 0) CheckConservation();
 }
 
-void EgressPort::DeliverHead() {
+bool EgressPort::DeliverHead(Tick* at, std::uint64_t* key) {
   DCTCPP_PROFILE_SCOPE(kEnqueue);
   // The head's serialization finished at `due - delay`, at or before now:
   // settle so the packet sits in the propagation stage and the next
@@ -178,14 +194,17 @@ void EgressPort::DeliverHead() {
   queue_.PopPropagating();
   due_.PopFront();
   Retire();
-  if (!due_.Empty()) deliver_ev_.ArmAt(due_.Front());
+  if (due_.Empty()) return false;
+  *at = due_.Front();
+  *key = HeadKey();
+  return true;
 }
 
 void EgressPort::CheckConservation() {
   // Every packet the queue ever accepted must be exactly one of: retired
-  // (delivered to the peer, or — sharded — done serializing with its
-  // calendar copy already deposited), waiting in the queue, serializing,
-  // or propagating (serial wire only).
+  // (delivered to the peer, or — cross-shard — done serializing with its
+  // copy already handed off), waiting in the queue, serializing, or
+  // propagating on the port's wire.
   const std::size_t propagating = queue_.PropagatingCount();
   const std::uint64_t resident =
       queue_.PacketCount() + (transmitting_ ? 1u : 0u) + propagating;
@@ -209,8 +228,8 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   // No finish event exists: the lazy finish instants are the whole
   // serialization state. Unsettled completions are checkpoint-faithful
   // as-is — restoring the same (t_fin_, tail_fin_, due_, delivery arming)
-  // replays the same settlements. The serving packet is inside the queue
-  // blob already (region sizes lead it).
+  // replays the same settlements. The serving and propagating packets
+  // are inside the queue blob already (region sizes lead it).
   w.Bool(transmitting_);
   if (transmitting_) {
     w.I64(in_flight_bytes_);
@@ -219,8 +238,11 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   w.I64(tail_fin_);
   w.U64(wire_seq_);
   w.U64(retired_);
-  due_.SaveState(w);
-  if (!due_.Empty()) {
+  w.U64(due_.Size());
+  due_.ForEach([&w](Tick t) { w.I64(t); });
+  // A local sharded port's calendar entry is rebuilt from the head on
+  // load; only the wheel needs its exact arming (the insertion seq).
+  if (!due_.Empty() && calendar_ == nullptr) {
     Tick at = 0;
     std::uint64_t seq = 0;
     deliver_ev_.Arming(&at, &seq);
@@ -243,8 +265,13 @@ void EgressPort::LoadState(CheckpointReader& r) {
   tail_fin_ = r.I64();
   wire_seq_ = r.U64();
   retired_ = r.U64();
-  due_.LoadState(r);
-  if (!due_.Empty()) {
+  DCTCPP_ASSERT(due_.Empty());
+  const std::uint64_t wire = r.U64();
+  for (std::uint64_t i = 0; i < wire; ++i) due_.PushBack(r.I64());
+  if (due_.Empty()) return;
+  if (calendar_ != nullptr) {
+    calendar_->Arm(due_.Front(), HeadKey(), this);
+  } else {
     const Tick at = r.I64();
     const std::uint64_t seq = r.U64();
     deliver_ev_.ArmAtWithSeq(at, seq);

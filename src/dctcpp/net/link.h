@@ -7,23 +7,24 @@
 // forward pipeline whose capacity (C*D + B) the paper's incast bursts
 // overflow.
 //
-// One transmitter serves both engines. Serializations settle lazily
-// (SettleTo) and each packet's delivery instant is fixed at admission;
-// the engines differ only in the wire. On the serial engine the packet
-// propagates inside the port and one pinned delivery event drains it; on
-// the sharded engine (net/parallel.h) its copy goes into the destination
-// shard's arrival calendar at admission, and the port arms no wheel
-// event at all.
+// One transmitter and one wire serve both engines. Serializations settle
+// lazily (SettleTo) and each packet's delivery instant is fixed at
+// admission; the packet then propagates inside the port's own queue ring
+// until DeliverHead hands it to the peer. The engines differ only in who
+// fires DeliverHead: on the serial engine one pinned wheel event per port;
+// on the sharded engine (net/parallel.h) the shard's arrival calendar,
+// which orders ports by their head arrival. Only a port whose peer lives
+// on another shard leaves its wire at admission: its copy goes to the
+// destination shard's inbound ring for this port.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
 #include <memory>
 
 #include "dctcpp/net/impairment.h"
 #include "dctcpp/net/packet.h"
+#include "dctcpp/net/packet_ring.h"
 #include "dctcpp/net/queue.h"
 #include "dctcpp/sim/pinned_event.h"
 #include "dctcpp/sim/simulator.h"
@@ -41,6 +42,20 @@ class PacketSink {
   virtual void Deliver(const Packet& pkt) = 0;
 };
 
+/// One port's packet arrivals on one shard, leaving in strictly increasing
+/// (at, key) order: a local port's own wire, or a cross-shard port's
+/// inbound ring (net/parallel.h). A shard's ArrivalCalendar orders these
+/// streams by their head arrival.
+class ArrivalStream {
+ public:
+  /// Delivers the head arrival, due now. Returns false when the stream is
+  /// empty afterwards; otherwise stores its new head in (*at, *key).
+  virtual bool DeliverHead(Tick* at, std::uint64_t* key) = 0;
+
+ protected:
+  ~ArrivalStream() = default;
+};
+
 /// Configuration of one link direction.
 struct LinkConfig {
   DataRate rate = DataRate::GigabitsPerSec(1);
@@ -56,14 +71,16 @@ struct LinkConfig {
   ImpairmentConfig impairment;
 };
 
+class ArrivalCalendar;
+class InboundRing;
 class ParallelSimulation;
 
-class EgressPort : public Checkpointable {
+class EgressPort : public Checkpointable, public ArrivalStream {
  public:
   /// `peer_sim` is the Simulator owning the peer node; only consulted in
-  /// sharded mode (sim.parallel() != nullptr), where it selects the
-  /// destination shard of this port's deliveries. Defaults to the port's
-  /// own world.
+  /// sharded mode (sim.parallel() != nullptr), where a peer on another
+  /// shard makes this a cross-shard port. Defaults to the port's own
+  /// world.
   EgressPort(Simulator& sim, const LinkConfig& config, PacketSink& peer,
              Simulator* peer_sim = nullptr);
   ~EgressPort() override;
@@ -86,10 +103,10 @@ class EgressPort : public Checkpointable {
   /// serializations lazily (see SettleTo), so an external sampler may see
   /// serializations that virtually completed since the port's last
   /// observation still counted here — within the trailing propagation
-  /// delay on a serial port, until the next admission on a sharded port,
-  /// which has no delivery event. Admission/marking decisions always run
-  /// on settled state, and a serial port's value is exact whenever the
-  /// simulator is drained.
+  /// delay on a port that delivers from its own wire, until the next
+  /// admission on a cross-shard port, which delivers nothing itself.
+  /// Admission/marking decisions always run on settled state, and a
+  /// serial port's value is exact whenever the simulator is drained.
   Bytes BacklogBytes() const {
     return queue_.OccupancyBytes() + in_flight_bytes_;
   }
@@ -106,64 +123,21 @@ class EgressPort : public Checkpointable {
   /// The fault pipeline, or nullptr when this link is unimpaired.
   const ImpairmentStage* impairment() const { return impairment_.get(); }
 
+  /// Delivers the wire's head packet (ArrivalStream). Fired by the
+  /// delivery event on the serial engine and by the shard's calendar on
+  /// the sharded engine.
+  bool DeliverHead(Tick* at, std::uint64_t* key) override;
+
   /// Checkpoint (registered with the owning Simulator at construction):
   /// queue contents, the serializing packet with its lazy finish instant,
-  /// the propagation pipeline, the impairment stage, counters, and the
-  /// delivery event's exact arming.
+  /// the propagation pipeline, the impairment stage, counters, and — on
+  /// the serial engine — the delivery event's exact arming. A local
+  /// sharded port re-arms its shard's calendar on load instead.
   void SaveState(CheckpointWriter& w) const override;
   void LoadState(CheckpointReader& r) override;
 
  private:
   friend class ImpairmentStage;
-
-  /// Flat power-of-two ring of absolute delivery times, FIFO. Covers every
-  /// packet of a serial port — queued, serving and propagating — since
-  /// due times are computed at admission. No steady-state allocation.
-  class TickFifo {
-   public:
-    TickFifo() : buf_(64) {}
-    bool Empty() const { return size_ == 0; }
-    Tick Front() const {
-      DCTCPP_DASSERT(size_ > 0);
-      return buf_[head_];
-    }
-    void PushBack(Tick t) {
-      if (size_ == buf_.size()) Grow();
-      buf_[(head_ + size_) & (buf_.size() - 1)] = t;
-      ++size_;
-    }
-    void PopFront() {
-      DCTCPP_DASSERT(size_ > 0);
-      head_ = (head_ + 1) & (buf_.size() - 1);
-      --size_;
-    }
-
-    void SaveState(CheckpointWriter& w) const {
-      w.U64(size_);
-      for (std::size_t i = 0; i < size_; ++i) {
-        w.I64(buf_[(head_ + i) & (buf_.size() - 1)]);
-      }
-    }
-    void LoadState(CheckpointReader& r) {
-      DCTCPP_ASSERT(size_ == 0);
-      const std::uint64_t n = r.U64();
-      for (std::uint64_t i = 0; i < n; ++i) PushBack(r.I64());
-    }
-
-   private:
-    void Grow() {
-      std::vector<Tick> bigger(buf_.size() * 2);
-      for (std::size_t i = 0; i < size_; ++i) {
-        bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-      }
-      buf_ = std::move(bigger);
-      head_ = 0;
-    }
-
-    std::vector<Tick> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
 
   /// Shared tail of Send/InjectReleased: queue admission (counting
   /// overflow drops in the ledger), the amortized byte audit, and the
@@ -174,7 +148,15 @@ class EgressPort : public Checkpointable {
   /// straight into the queue, skipping re-impairment.
   void InjectReleased(const Packet& pkt) { EnqueueForTransmit(pkt); }
 
-  void DeliverHead();
+  /// Points whoever fires DeliverHead at the wire's new head (`due_`
+  /// just went non-empty, or a checkpoint restored it).
+  void ArmWire(Tick at, std::uint64_t key);
+
+  /// Calendar key of the wire's head: its FIFO position among every
+  /// packet this port admitted.
+  std::uint64_t HeadKey() const {
+    return (port_gid_ << 32) | ((wire_seq_ - due_.Size()) & 0xffffffffu);
+  }
 
   /// Serialization time of `size` wire bytes (the two common sizes are
   /// precomputed).
@@ -186,11 +168,11 @@ class EgressPort : public Checkpointable {
 
   /// Lazy transmitter: replays every serialization that virtually
   /// completed at or before `t`. The serving packet moves to the
-  /// propagation stage (serial wire) or retires (sharded: its calendar
-  /// copy is already deposited), and the next queued packet begins
-  /// serializing at the exact tick the wire freed. Called at the port's
-  /// observation points (enqueue admission, each serial delivery); the
-  /// no-op case (wire idle or still serializing) stays inline.
+  /// propagation stage, or retires on a cross-shard port (its copy is
+  /// already handed off), and the next queued packet begins serializing
+  /// at the exact tick the wire freed. Called at the port's observation
+  /// points (enqueue admission, each delivery); the no-op case (wire idle
+  /// or still serializing) stays inline.
   void SettleTo(Tick t) {
     if (transmitting_ && t_fin_ <= t) SettleSlow(t);
   }
@@ -226,17 +208,19 @@ class EgressPort : public Checkpointable {
   PacketSink& peer_;
   DropTailEcnQueue queue_;
   std::unique_ptr<ImpairmentStage> impairment_;
-  // Sharded-mode state (see net/parallel.h). When psim_ is set the
-  // propagation stage is replaced by a calendar handoff: admission
-  // deposits (due, port gid << 32 | wire seq) into the peer shard and the
-  // pinned delivery event never arms. RED then draws from the port's
-  // private stream instead of the (shard-local, draw-order-fragile) run
-  // RNG.
+  // Sharded-mode state (see net/parallel.h). Every wire packet carries
+  // the key port gid << 32 | wire seq. A local port (peer on its own
+  // shard) keeps its wire and arms `calendar_` instead of the pinned
+  // delivery event. A cross-shard port hands (due, key, packet) to the
+  // peer shard's `inbound_` ring at admission and has no wire. RED draws
+  // from the port's private stream instead of the (shard-local,
+  // draw-order-fragile) run RNG.
   ParallelSimulation* psim_ = nullptr;
+  ArrivalCalendar* calendar_ = nullptr;
+  InboundRing* inbound_ = nullptr;
   int src_shard_ = 0;
-  int dst_shard_ = 0;
   std::uint64_t port_gid_ = 0;
-  std::uint64_t wire_seq_ = 0;
+  std::uint64_t wire_seq_ = 0;  ///< packets ever admitted
   Rng red_rng_{0};
   bool transmitting_ = false;
   Bytes in_flight_bytes_ = 0;
@@ -255,11 +239,14 @@ class EgressPort : public Checkpointable {
   //
   // No port arms a wheel event per serialization (see the file header).
   // `t_fin_` holds the serving packet's finish instant, `tail_fin_` the
-  // last admitted packet's. Propagation delay is constant per port, so a
-  // serial port's deliveries leave in FIFO order: one pinned delivery
-  // event tracks `due_.Front()`, armed exactly while `due_` is non-empty,
-  // and is the port's only wheel node however many packets it carries.
-  TickFifo due_;
+  // last admitted packet's. `due_` holds the delivery instant of every
+  // admitted packet not yet delivered (queued, serving or propagating),
+  // in admission order. Propagation delay is constant
+  // per port, so the wire delivers in FIFO order: the port's delivery
+  // event (serial) or its calendar entry (sharded) tracks `due_.Front()`,
+  // armed exactly while `due_` is non-empty — one wheel node or heap
+  // entry per port however many packets it carries.
+  FifoRing<Tick> due_{64};
   Tick t_fin_ = 0;
   Tick tail_fin_ = 0;
   PinnedEvent deliver_ev_;

@@ -48,29 +48,25 @@ inline void SpinWait(int iteration) {
 
 // --- ArrivalCalendar ------------------------------------------------------
 
-CalendarEntry ArrivalCalendar::PopEarliest() {
+void ArrivalCalendar::DeliverEarliest() {
   DCTCPP_DASSERT(!heap_.empty());
-  DCTCPP_DASSERT(staged_ == 0);
-  CalendarEntry top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  return top;
-}
-
-void ArrivalCalendar::FinishBulk() {
-  if (staged_ == 0) return;
-  const std::size_t n = heap_.size();
-  if (staged_ >= n / 4) {
-    // Batch is a sizable fraction of the heap: one O(n) rebuild beats
-    // staged_ * log(n) sifts.
-    for (std::size_t i = n / 2; i-- > 0;) SiftDown(i);
+  const Head top = heap_[0];
+  Tick at = 0;
+  std::uint64_t key = 0;
+  // The delivery may arm other streams, but each lands at least one link
+  // delay later, strictly behind this head: the stream stays at the root.
+  const bool more = top.stream->DeliverHead(&at, &key);
+  DCTCPP_DASSERT(heap_[0].stream == top.stream);
+  if (more) {
+    DCTCPP_DASSERT(Before(top, Head{at, key, top.stream}));
+    heap_[0].at = at;
+    heap_[0].key = key;
   } else {
-    // Sift the appended suffix in append order — each sift sees a valid
-    // heap above it, exactly as a sequence of Push calls would.
-    for (std::size_t i = n - staged_; i < n; ++i) SiftUp(i);
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+    if (heap_.empty()) return;
   }
-  staged_ = 0;
+  SiftDown(0);
 }
 
 void ArrivalCalendar::SiftUp(std::size_t i) {
@@ -94,6 +90,29 @@ void ArrivalCalendar::SiftDown(std::size_t i) {
     std::swap(heap_[i], heap_[best]);
     i = best;
   }
+}
+
+// --- InboundRing --------------------------------------------------------
+
+void InboundRing::Append(Tick at, std::uint64_t key, const Packet& pkt) {
+  if (ring_.Empty()) {
+    calendar_.Arm(at, key, this);
+  } else {
+    DCTCPP_DASSERT(key > ring_.Back().key);
+    at = std::max(at, ring_.Back().at);
+  }
+  ring_.PushBack(Entry{at, key, pkt});
+}
+
+bool InboundRing::DeliverHead(Tick* at, std::uint64_t* key) {
+  // Rings grow only at the barrier merge, never during a window, so the
+  // front slot stays put while the sink runs.
+  sink_.Deliver(ring_.Front().pkt);
+  ring_.PopFront();
+  if (ring_.Empty()) return false;
+  *at = ring_.Front().at;
+  *key = ring_.Front().key;
+  return true;
 }
 
 // --- WindowGang -----------------------------------------------------------
@@ -205,33 +224,31 @@ void ParallelSimulation::ObserveChannel(int src, int dst,
   slot = std::min(slot, propagation_delay);
 }
 
-void ParallelSimulation::Handoff(int src, int dst, Tick at, std::uint64_t key,
-                                 PacketSink* sink, const Packet& pkt) {
+void ParallelSimulation::Handoff(int src, InboundRing& ring, Tick at,
+                                 std::uint64_t key, const Packet& pkt) {
   DCTCPP_DASSERT(src >= 0 && src < shard_count());
-  DCTCPP_DASSERT(dst >= 0 && dst < shard_count());
+  DCTCPP_DASSERT(src != ring.shard());
   Shard& source = *shards_[static_cast<std::size_t>(src)];
-  if (src == dst) {
-    // The calling thread owns this shard for the duration of the window.
-    CalendarEntry e;
-    e.at = at;
-    e.key = key;
-    e.sink = sink;
-    e.pkt = pkt;
-    source.calendar.Push(e);
-  } else {
-    if (!channel_allowed_.empty() &&
-        channel_allowed_[static_cast<std::size_t>(src) *
-                             static_cast<std::size_t>(shard_count()) +
-                         static_cast<std::size_t>(dst)] == 0) {
-      // A packet on a pruned channel means the RestrictChannels mask was
-      // wrong — count it (folded into invariant_violations) but still
-      // deliver the packet; the merge-horizon check reports any actual
-      // causality damage.
-      ++source.pruned_handoffs;
-    }
-    source.staging.Append(at, key, dst, sink, pkt);
-    ++source.cross_deposits;
+  if (!channel_allowed_.empty() &&
+      channel_allowed_[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(shard_count()) +
+                       static_cast<std::size_t>(ring.shard())] == 0) {
+    // A packet on a pruned channel means the RestrictChannels mask was
+    // wrong — count it (folded into invariant_violations) but still
+    // deliver the packet; the merge-horizon check reports any actual
+    // causality damage.
+    ++source.pruned_handoffs;
   }
+  source.staging.Append(at, key, &ring, pkt);
+  ++source.cross_deposits;
+}
+
+InboundRing& ParallelSimulation::AddInboundRing(PacketSink& sink,
+                                                int dst_shard) {
+  Shard& dst = *shards_[static_cast<std::size_t>(dst_shard)];
+  dst.inbound.push_back(
+      std::make_unique<InboundRing>(sink, dst_shard, dst.calendar));
+  return *dst.inbound.back();
 }
 
 void ParallelSimulation::RestrictChannels(std::vector<std::uint8_t> allowed) {
@@ -275,13 +292,12 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
       // least one link delay later, never inside the batch.
       sim.SetNow(tc);
       do {
-        const CalendarEntry e = sh.calendar.PopEarliest();
-        e.sink->Deliver(e.pkt);
+        sh.calendar.DeliverEarliest();
         ++sh.delivered;
-      } while (!sh.calendar.Empty() && sh.calendar.NextTime() == tc);
+      } while (sh.calendar.NextTime() == tc);
     } else {
       // Wheel events up to the intra-shard lookahead horizon: an event at
-      // u >= tw may deposit an arrival into this shard's own calendar due
+      // u >= tw may arm this shard's own calendar with an arrival due
       // u + self_delay at the earliest, so every wheel tick before
       // tw + self_delay is safe to run blind — but no further, because W
       // only bounds cross-shard links: an intra-shard link may be faster,
@@ -298,7 +314,8 @@ void ParallelSimulation::MergeStaging() {
     OutboxStaging& st = src->staging;
     const std::size_t n = st.Size();
     for (std::size_t i = 0; i < n; ++i) {
-      Shard& dst = *shards_[static_cast<std::size_t>(st.dst[i])];
+      InboundRing& ring = *st.ring[i];
+      const Shard& dst = *shards_[static_cast<std::size_t>(ring.shard())];
       // Always-on causality check: a deposit due before the horizon its
       // destination already ran to would have been delivered in the past.
       // Window safety (DESIGN.md Sec. 10) proves this cannot happen for a
@@ -311,20 +328,10 @@ void ParallelSimulation::MergeStaging() {
         ++merge_causality_violations_;
         at = dst.ran_to;
       }
-      CalendarEntry e;
-      e.at = at;
-      e.key = st.key[i];
-      e.sink = st.sink[i];
-      e.pkt = st.pkt[i];
-      dst.calendar.AppendRaw(e);
+      ring.Append(at, st.key[i], st.pkt[i]);
     }
     st.Clear();
     src->merge_s += WallSeconds() - start;
-  }
-  for (auto& sh : shards_) {
-    const double start = WallSeconds();
-    sh->calendar.FinishBulk();
-    sh->merge_s += WallSeconds() - start;
   }
 }
 
@@ -411,6 +418,18 @@ std::uint64_t ParallelSimulation::packets_forwarded() const {
   return total;
 }
 
+std::size_t ParallelSimulation::CalendarBytes() const {
+  std::size_t total = 0;
+  for (const auto& sh : shards_) {
+    total += sh->calendar.bytes() +
+             sh->inbound.capacity() * sizeof(std::unique_ptr<InboundRing>);
+    for (const auto& ring : sh->inbound) {
+      total += sizeof(InboundRing) + ring->bytes();
+    }
+  }
+  return total;
+}
+
 ShardTimes ParallelSimulation::shard_times(int i) const {
   const Shard& sh = *shards_[static_cast<std::size_t>(i)];
   ShardTimes t;
@@ -461,46 +480,23 @@ constexpr std::uint32_t kTagParallel = 0x5053494d;  // "PSIM"
 constexpr std::uint32_t kTagShard = 0x53485244;     // "SHRD"
 }  // namespace
 
-void ArrivalCalendar::SaveState(CheckpointWriter& w) const {
-  DCTCPP_ASSERT(staged_ == 0);
-  w.U64(heap_.size());
-  for (const CalendarEntry& e : heap_) {
+void InboundRing::SaveState(CheckpointWriter& w) const {
+  w.U64(ring_.Size());
+  ring_.ForEach([&w](const Entry& e) {
     w.I64(e.at);
     w.U64(e.key);
     SavePacket(w, e.pkt);
-  }
+  });
 }
 
-void ArrivalCalendar::LoadState(
-    CheckpointReader& r,
-    const std::function<PacketSink*(std::uint64_t)>& sink_for_key) {
-  DCTCPP_ASSERT(heap_.empty() && staged_ == 0);
+void InboundRing::LoadState(CheckpointReader& r) {
+  DCTCPP_ASSERT(ring_.Empty());
   const std::uint64_t n = r.U64();
-  heap_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    CalendarEntry e;
-    e.at = r.I64();
-    e.key = r.U64();
-    e.pkt = LoadPacket(r);
-    e.sink = sink_for_key(e.key);
-    heap_.push_back(e);
+    const Tick at = r.I64();
+    const std::uint64_t key = r.U64();
+    Append(at, key, LoadPacket(r));
   }
-}
-
-void ParallelSimulation::RegisterPortSink(std::uint64_t gid, PacketSink* sink,
-                                          int dst_shard) {
-  if (port_sinks_.size() <= gid) {
-    port_sinks_.resize(gid + 1, nullptr);
-    port_sink_shard_.resize(gid + 1, -1);
-  }
-  DCTCPP_ASSERT(port_sinks_[gid] == nullptr);
-  port_sinks_[gid] = sink;
-  port_sink_shard_[gid] = static_cast<std::int32_t>(dst_shard);
-}
-
-PacketSink* ParallelSimulation::SinkForGid(std::uint64_t gid) const {
-  DCTCPP_ASSERT(gid < port_sinks_.size() && port_sinks_[gid] != nullptr);
-  return port_sinks_[gid];
 }
 
 void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
@@ -523,7 +519,10 @@ void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
     w.I64(sh->ran_to);
     w.I64(sh->self_delay);  // audit: rebuilt by topology construction
     w.U64(sh->pruned_handoffs);
-    sh->calendar.SaveState(w);
+    // Local ports saved their wires with the shard; the calendar heap is
+    // rebuilt from the wires and rings on load, so only the rings remain.
+    w.U64(sh->inbound.size());
+    for (const auto& ring : sh->inbound) ring->SaveState(w);
   }
 }
 
@@ -550,8 +549,8 @@ void ParallelSimulation::RestoreCheckpoint(CheckpointReader& r,
     const Tick saved_self_delay = r.I64();
     DCTCPP_ASSERT(saved_self_delay == sh->self_delay);
     sh->pruned_handoffs = r.U64();
-    sh->calendar.LoadState(
-        r, [this](std::uint64_t key) { return SinkForGid(key >> 32); });
+    DCTCPP_ASSERT(r.U64() == sh->inbound.size());
+    for (auto& ring : sh->inbound) ring->LoadState(r);
   }
 }
 

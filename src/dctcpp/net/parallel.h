@@ -32,16 +32,21 @@
 //    wheel events at equal ticks). The run always ends at the same
 //    canonical point — the queues drain or the deadline passes — so the
 //    executed set is identical however execution was chunked.
-//  - Delivery order. In sharded mode every packet delivery — cross-shard
-//    AND intra-shard — goes through the destination shard's arrival
-//    calendar, deposited when the egress port admits the packet (its
-//    delivery instant is fixed then; net/link.h) and keyed (arrival
-//    tick, port id << 32 | per-port wire sequence). Port ids come from a
-//    shared construction-time sequence (Simulator::NextPortId) fixed by
-//    topology-build order; wire sequence is the per-port FIFO position.
-//    At any tick, calendar deliveries run before wheel events in
-//    ascending key order — a total order that mentions nothing about
-//    shards or windows.
+//  - Delivery order. Every packet's delivery instant is fixed when its
+//    egress port admits it (net/link.h), and every delivery is keyed
+//    (arrival tick, port id << 32 | per-port wire sequence). Port ids
+//    come from a shared construction-time sequence
+//    (Simulator::NextPortId) fixed by topology-build order; wire sequence
+//    is the per-port FIFO position. Each port's deliveries leave in
+//    strictly increasing key order, so the destination shard's arrival
+//    calendar orders ports, not packets: a min-heap over the head of
+//    every port with pending arrivals. A port whose peer is on its own
+//    shard keeps its packets on its own wire and arms the calendar when
+//    the wire goes non-empty; a cross-shard port's packets are copied at
+//    admission and merged at the barrier into an inbound ring per port on
+//    the destination shard. At any tick, calendar deliveries run before
+//    wheel events in ascending key order — a total order that mentions
+//    nothing about shards or windows.
 //  - Stop = quiesce. Simulator::Stop() from inside a shard marks the run
 //    stopped, but the coordinator keeps windowing until the world drains
 //    (or the deadline passes). Shards overshoot a mid-window stop by
@@ -62,8 +67,8 @@
 // commutative sums.
 //
 // Note the promise is invariance across {shard count, pool}, not
-// equality with the legacy single-Simulator path: at equal-tick collisions
-// the legacy engine orders deliveries by wheel insertion while the
+// equality with the serial single-Simulator path: at equal-tick collisions
+// the serial engine orders deliveries by wheel insertion while the
 // calendar orders by port id, so the two engines are separately
 // deterministic.
 #pragma once
@@ -88,69 +93,86 @@ inline Tick SatAddTick(Tick a, Tick b) {
   return a > kTickMax - b ? kTickMax : a + b;
 }
 
-/// One packet handed from an egress port to a (possibly remote) shard:
-/// due at `at`, delivered to `sink` in ascending (at, key) order.
-struct CalendarEntry {
-  Tick at = 0;
-  std::uint64_t key = 0;  ///< port gid << 32 | per-port wire sequence
-  PacketSink* sink = nullptr;
-  Packet pkt;
-};
-
-/// Min-heap of pending arrivals for one shard, ordered by (at, key). Keys
-/// are unique (per-port sequences never repeat), so the order is total
-/// and independent of insertion order — mailbox merges can append in any
-/// order without affecting delivery order.
+/// Min-heap of the arrival streams of one shard with pending arrivals,
+/// ordered by each stream's head (at, key). Keys are unique (gid << 32 |
+/// per-port sequence), so the order is total and independent of arming
+/// order, and since every stream is itself in (at, key) order, popping
+/// heads yields the shard's arrivals in canonical order. Entries are 24
+/// bytes: the packets stay in their streams.
 class ArrivalCalendar {
  public:
   bool Empty() const { return heap_.empty(); }
+  /// Streams armed (ports with pending arrivals).
   std::size_t Size() const { return heap_.size(); }
+  /// Heap capacity in bytes (footprint accounting).
+  std::size_t bytes() const { return heap_.capacity() * sizeof(Head); }
 
   /// Earliest due tick, or kTickMax when empty.
   Tick NextTime() const { return heap_.empty() ? kTickMax : heap_[0].at; }
 
-  void Push(const CalendarEntry& e) {
-    DCTCPP_DASSERT(staged_ == 0);
-    heap_.push_back(e);
+  /// Adds `stream`, whose head is (at, key). Called when a stream goes
+  /// non-empty; a stream is armed at most once at a time.
+  void Arm(Tick at, std::uint64_t key, ArrivalStream* stream) {
+    heap_.push_back(Head{at, key, stream});
     SiftUp(heap_.size() - 1);
   }
 
-  /// Bulk-insert half 1: appends without restoring heap order. Must be
-  /// followed by FinishBulk() before any NextTime/PopEarliest. The merge
-  /// barrier uses this so a window's worth of cross-shard handoffs costs
-  /// one heap repair instead of one sift per packet.
-  void AppendRaw(const CalendarEntry& e) {
-    heap_.push_back(e);
-    ++staged_;
-  }
-
-  /// Bulk-insert half 2: restores the heap invariant — k sift-ups when
-  /// the batch is small against the heap, one O(n) rebuild when it is a
-  /// sizable fraction of it.
-  void FinishBulk();
-
-  /// Removes and returns the earliest entry. Precondition: !Empty().
-  CalendarEntry PopEarliest();
-
-  /// Checkpoint: entries in raw heap-array order (a valid heap layout
-  /// restored verbatim is a valid heap and reproduces pop tie-breaking
-  /// bit-identically). Sink pointers never serialize — LoadState
-  /// re-resolves each entry's sink from its key via `sink_for_key`
-  /// (the coordinator's port-gid registry).
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r,
-                 const std::function<PacketSink*(std::uint64_t)>& sink_for_key);
+  /// Delivers the earliest head and re-files its stream under its next
+  /// head, or drops it when the stream ran dry. Precondition: !Empty().
+  void DeliverEarliest();
 
  private:
-  static bool Before(const CalendarEntry& a, const CalendarEntry& b) {
+  struct Head {
+    Tick at;
+    std::uint64_t key;
+    ArrivalStream* stream;
+  };
+  static bool Before(const Head& a, const Head& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.key < b.key;
   }
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
 
-  std::vector<CalendarEntry> heap_;
-  std::size_t staged_ = 0;  ///< trailing entries awaiting FinishBulk
+  std::vector<Head> heap_;
+};
+
+/// Cross-shard arrivals of one egress port, on its destination shard:
+/// the barrier merge appends them in wire order and the shard's calendar
+/// delivers them from the front. Armed in the calendar exactly while
+/// non-empty.
+class InboundRing final : public ArrivalStream {
+ public:
+  InboundRing(PacketSink& sink, int shard, ArrivalCalendar& calendar)
+      : sink_(sink), shard_(shard), calendar_(calendar) {}
+
+  int shard() const { return shard_; }
+  std::size_t bytes() const { return ring_.Capacity() * sizeof(Entry); }
+
+  /// Appends one arrival, keeping the stream ordered: an arrival the
+  /// merge clamped to the destination's horizon never sorts ahead of the
+  /// stream's tail. Precondition: `key` is above every key appended so
+  /// far.
+  void Append(Tick at, std::uint64_t key, const Packet& pkt);
+
+  bool DeliverHead(Tick* at, std::uint64_t* key) override;
+
+  /// Checkpoint: the pending arrivals in FIFO order. LoadState re-arms
+  /// the calendar.
+  void SaveState(CheckpointWriter& w) const;
+  void LoadState(CheckpointReader& r);
+
+ private:
+  struct Entry {
+    Tick at = 0;
+    std::uint64_t key = 0;
+    Packet pkt;
+  };
+
+  PacketSink& sink_;
+  int shard_;
+  ArrivalCalendar& calendar_;
+  FifoRing<Entry> ring_{4};
 };
 
 /// Cross-shard deposits made by one shard during the current window,
@@ -161,27 +183,23 @@ class ArrivalCalendar {
 struct OutboxStaging {
   std::vector<Tick> at;
   std::vector<std::uint64_t> key;
-  std::vector<std::int32_t> dst;
-  std::vector<PacketSink*> sink;
+  std::vector<InboundRing*> ring;
   std::vector<Packet> pkt;
 
   std::size_t Size() const { return at.size(); }
   bool Empty() const { return at.empty(); }
 
-  void Append(Tick t, std::uint64_t k, int d, PacketSink* s,
-              const Packet& p) {
+  void Append(Tick t, std::uint64_t k, InboundRing* r, const Packet& p) {
     at.push_back(t);
     key.push_back(k);
-    dst.push_back(static_cast<std::int32_t>(d));
-    sink.push_back(s);
+    ring.push_back(r);
     pkt.push_back(p);
   }
 
   void Clear() {
     at.clear();
     key.clear();
-    dst.clear();
-    sink.clear();
+    ring.clear();
     pkt.clear();
   }
 };
@@ -189,7 +207,7 @@ struct OutboxStaging {
 /// Host wall-time split of one shard across RunUntil calls: running its
 /// window slices, waiting for the rest of each window (barrier wait,
 /// including gang dispatch latency), and the coordinator's merge work for
-/// it at the barriers (draining its outbox, repairing its calendar).
+/// it at the barriers (draining its outbox into inbound rings).
 /// Host timing only: never fingerprinted or checkpointed.
 struct ShardTimes {
   double busy_s = 0.0;
@@ -293,15 +311,25 @@ class ParallelSimulation {
   /// Cross-shard handoffs that crossed a pruned channel (expected 0).
   std::uint64_t pruned_channel_handoffs() const;
 
-  /// Deposits a packet due at `at` into shard `dst`'s arrival calendar
-  /// (directly when src == dst — single-threaded owner — else via the
-  /// source shard's SoA staging buffer, merged by the coordinator at the
-  /// barrier). Called on the shard's thread by EgressPort when it admits
-  /// the packet: `at` is then at least one link delay past the admission
-  /// instant, so a cross-shard deposit lands at or past the current
-  /// window's end (DESIGN.md Sec. 10).
-  void Handoff(int src, int dst, Tick at, std::uint64_t key,
-               PacketSink* sink, const Packet& pkt);
+  /// Stages a packet due at `at` for `ring` on another shard, in the
+  /// source shard's SoA staging buffer; the coordinator merges it at the
+  /// barrier. Called on shard `src`'s thread by a cross-shard EgressPort
+  /// when it admits the packet: `at` is then at least one link delay past
+  /// the admission instant, so it lands at or past the current window's
+  /// end (DESIGN.md Sec. 10).
+  void Handoff(int src, InboundRing& ring, Tick at, std::uint64_t key,
+               const Packet& pkt);
+
+  /// Shard `i`'s arrival calendar, which a local EgressPort arms with its
+  /// wire (topology construction).
+  ArrivalCalendar& calendar(int i) {
+    return shards_[static_cast<std::size_t>(i)]->calendar;
+  }
+
+  /// Creates the inbound ring on shard `dst_shard` that feeds `sink` with
+  /// one cross-shard port's packets (topology construction, so rings are
+  /// in port-gid order). Rings live as long as this object.
+  InboundRing& AddInboundRing(PacketSink& sink, int dst_shard);
 
   /// Runs every shard to `deadline` (inclusive, as Simulator::RunUntil)
   /// in lockstep windows of width W. Windows with more than one active
@@ -346,25 +374,16 @@ class ParallelSimulation {
   }
   /// Host time split of shard `i` (see ShardTimes).
   ShardTimes shard_times(int i) const;
+  /// Bytes held by the calendars' heaps and the inbound rings.
+  std::size_t CalendarBytes() const;
 
   SharedSequences& sequences() { return sequences_; }
 
   // --- checkpoint/restore (sim/checkpoint.h) ----------------------------
 
-  /// Called by every EgressPort at construction: names `sink` as the
-  /// receiver of calendar entries keyed `gid << 32 | wire_seq`, living on
-  /// shard `dst_shard`. Deterministic topology builders register gids
-  /// densely in construction order, so a rebuilt world re-registers the
-  /// identical mapping — which is what lets RestoreCheckpoint re-resolve
-  /// saved calendar entries' sink pointers.
-  void RegisterPortSink(std::uint64_t gid, PacketSink* sink, int dst_shard);
-
-  /// The sink registered for `gid` (aborts when unknown).
-  PacketSink* SinkForGid(std::uint64_t gid) const;
-
   /// Serializes the whole sharded world. Only valid at a RunUntil return
   /// (barrier): every staging buffer is empty and all in-flight packets
-  /// sit in serializable containers (port queues/wires, calendars).
+  /// sit in serializable containers (port queues/wires, inbound rings).
   void SaveCheckpoint(CheckpointWriter& w, const CheckpointHooks* hooks) const;
 
   /// Restores into a freshly built, never-run world with the same seed,
@@ -376,6 +395,8 @@ class ParallelSimulation {
     explicit Shard(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
     ArrivalCalendar calendar;
+    /// Cross-shard ports feeding this shard, in gid order.
+    std::vector<std::unique_ptr<InboundRing>> inbound;
     /// Cross-shard deposits made during the current window; written only
     /// by this shard's runner, drained only by the coordinator between
     /// windows.
@@ -387,7 +408,7 @@ class ParallelSimulation {
     Tick ran_to = 0;
     /// Minimum propagation delay of any link with both endpoints on this
     /// shard: how far the wheel may run blind before an event could have
-    /// deposited a new arrival into this shard's own calendar.
+    /// armed this shard's own calendar with a new arrival.
     Tick self_delay = kTickMax;
     /// Handoffs this shard deposited onto a pruned channel (written only
     /// by the shard's runner; a violation of the RestrictChannels mask).
@@ -412,9 +433,8 @@ class ParallelSimulation {
   /// at equal ticks.
   void RunShardWindow(int idx, Tick end);
 
-  /// Drains every shard's staging buffer into the destination calendars
-  /// (bulk heap repair per calendar), checking each entry against the
-  /// destination's run horizon.
+  /// Drains every shard's staging buffer into the destination inbound
+  /// rings, checking each entry against the destination's run horizon.
   void MergeStaging();
 
   std::uint64_t seed_;
@@ -434,10 +454,6 @@ class ParallelSimulation {
   std::uint64_t sync_rounds_ = 0;
   double window_s_ = 0.0;  ///< host seconds inside windows, all shards
   std::uint64_t merge_causality_violations_ = 0;
-  /// Port-gid -> delivery sink, registered at topology construction
-  /// (indexed by gid; gids are dense). dst shard rides along for audits.
-  std::vector<PacketSink*> port_sinks_;
-  std::vector<std::int32_t> port_sink_shard_;
 };
 
 }  // namespace dctcpp

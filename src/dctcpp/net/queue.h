@@ -101,9 +101,10 @@ class DropTailEcnQueue {
   }
   /// Serving -> propagating, in place (the unsharded wire).
   void FinishServiceToWire();
-  /// Removes the serving packet (sharded mode: its copy went into the
-  /// peer shard's arrival calendar at admission). Precondition: no
-  /// propagating region (sharded ports never have one).
+  /// Removes the serving packet (a cross-shard port: its copy went to
+  /// the peer shard's inbound ring at admission). Precondition: no
+  /// propagating region (cross-shard ports never have one; every other
+  /// port moves the serving packet onto its wire instead).
   void DropServing();
 
   std::size_t PropagatingCount() const { return n_propagating_; }

@@ -55,7 +55,7 @@ class CheckpointWriter {
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
   /// Bumped whenever the blob layout changes; a restore aborts on any
   /// other version.
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = 5;
 
   static CheckpointWriter HashOnly() {
     CheckpointWriter w;

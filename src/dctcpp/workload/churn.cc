@@ -317,7 +317,9 @@ ChurnFootprint ChurnWorkload::MeasureFootprint() {
                      hc->server_retired.capacity()) *
                     sizeof(std::uint32_t);
     f.port_table_bytes += hc->host->PortTableBytes();
+    f.demux_table_bytes += hc->host->DemuxTableBytes();
   }
+  f.calendar_bytes = psim_->CalendarBytes();
   for (int i = 0; i < config_.shards; ++i) {
     Simulator& sim = psim_->shard(i);
     f.scheduler_bytes += sim.scheduler().PoolBytes();

@@ -131,7 +131,11 @@ struct ChurnFootprint {
   std::size_t arena_bytes = 0;      ///< per-shard arena reservations
   std::size_t port_table_bytes = 0;  ///< hosts' local-port refcount tables
   std::int64_t peak_live = 0;
-  double bytes_per_flow = 0.0;  ///< total / max(1, peak_live)
+  /// total / max(1, peak_live), where total counts the four byte fields
+  /// above; the two below are reported beside it, not in it.
+  double bytes_per_flow = 0.0;
+  std::size_t demux_table_bytes = 0;  ///< hosts' connection demux tables
+  std::size_t calendar_bytes = 0;     ///< arrival calendars + inbound rings
 };
 
 /// Grants the churn workload access to TcpSocket's passive-open entry

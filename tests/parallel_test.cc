@@ -1,11 +1,14 @@
 // Tests for the conservative-parallel engine (net/parallel.h): arrival
-// calendar ordering, the window gang's epoch protocol, the sharded egress
+// calendar ordering over port streams, the window gang's epoch protocol, the sharded egress
 // port's lazy transmitter, and the load-bearing
 // property of the whole design — a fabric run (here the paper's fan-in
 // tiled over a small fat-tree) is bit-identical at every shard count,
 // whatever thread pool runs the windows.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,58 +22,114 @@
 namespace dctcpp {
 namespace {
 
-TEST(ArrivalCalendarTest, OrdersByTickThenKey) {
-  ArrivalCalendar cal;
-  EXPECT_TRUE(cal.Empty());
-  EXPECT_EQ(cal.NextTime(), kTickMax);
-
-  // Insert in scrambled order; expect (at, key) order out.
-  Rng rng(7);
-  std::vector<CalendarEntry> entries;
-  for (int i = 0; i < 200; ++i) {
-    CalendarEntry e;
-    e.at = static_cast<Tick>(rng.Next() % 16);  // force many tick ties
-    e.key = rng.Next();
-    entries.push_back(e);
-  }
-  for (const auto& e : entries) cal.Push(e);
-  ASSERT_EQ(cal.Size(), entries.size());
-
-  Tick prev_at = -1;
-  std::uint64_t prev_key = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(cal.NextTime(), cal.NextTime());
-    const CalendarEntry e = cal.PopEarliest();
-    if (e.at == prev_at) {
-      EXPECT_GT(e.key, prev_key);
-    } else {
-      EXPECT_GT(e.at, prev_at);
-    }
-    prev_at = e.at;
-    prev_key = e.key;
-  }
-  EXPECT_TRUE(cal.Empty());
+Packet EctSegment() {
+  Packet pkt;
+  pkt.payload = kMss;
+  pkt.ecn = Ecn::kEct;
+  return pkt;
 }
 
-TEST(ArrivalCalendarTest, InsertionOrderOfTiedTicksIsIrrelevant) {
-  // Two calendars fed the same entries in opposite order must drain
-  // identically — the property mailbox merges rely on.
-  std::vector<CalendarEntry> entries;
-  for (int i = 0; i < 32; ++i) {
-    CalendarEntry e;
-    e.at = 5;
-    e.key = static_cast<std::uint64_t>(31 - i);
-    entries.push_back(e);
+/// Records every delivery as (arrival tick, packet uid).
+class UidSink : public PacketSink {
+ public:
+  explicit UidSink(Simulator& sim) : sim_(sim) {}
+  void Deliver(const Packet& pkt) override {
+    arrivals.emplace_back(sim_.Now(), pkt.uid);
   }
-  ArrivalCalendar fwd;
-  ArrivalCalendar rev;
-  for (const auto& e : entries) fwd.Push(e);
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) rev.Push(*it);
-  while (!fwd.Empty()) {
-    ASSERT_FALSE(rev.Empty());
-    EXPECT_EQ(fwd.PopEarliest().key, rev.PopEarliest().key);
+  std::vector<std::pair<Tick, std::uint64_t>> arrivals;
+
+ private:
+  Simulator& sim_;
+};
+
+// The calendar orders ports, not packets: a min-heap over each port's
+// head arrival. Many ports feed one shard — local ports from their own
+// wires, cross-shard ports through inbound rings, interleaved in gid
+// order — with sends on a coarse tick grid, so due ticks collide across
+// ports and kinds. The shard must deliver exactly the reference order: a
+// sort of every packet's (due, port gid, wire seq), where each port's due
+// times come from a FIFO line-rate model of its transmitter.
+TEST(ArrivalCalendarTest, PortStreamsMergeIntoReferenceOrder) {
+  constexpr int kPorts = 24;
+  constexpr int kSendsPerPort = 40;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ParallelSimulation psim(seed, 2);
+    Simulator& dst = psim.shard(1);
+    UidSink sink(dst);
+    LinkConfig config;
+    config.buffer_bytes = kSendsPerPort * (kMss + kHeaderBytes);
+    config.ecn_threshold = 0;
+    const Tick tx = config.rate.TransmissionTime(kMss + kHeaderBytes);
+
+    // (due, port index, wire seq) of every packet; port index follows
+    // construction, hence gid, order.
+    std::vector<std::tuple<Tick, int, int>> reference;
+    std::vector<std::unique_ptr<EgressPort>> ports;
+    for (int p = 0; p < kPorts; ++p) {
+      // Even ports cross from shard 0; odd ports are local to shard 1.
+      Simulator& src = psim.shard(p % 2 == 0 ? 0 : 1);
+      ports.push_back(std::make_unique<EgressPort>(src, config, sink, &dst));
+      std::vector<Tick> sends;
+      for (int i = 0; i < kSendsPerPort; ++i) {
+        sends.push_back(static_cast<Tick>(rng.Next() % 400) * tx);
+      }
+      std::sort(sends.begin(), sends.end());
+      Tick tail = 0;
+      for (int i = 0; i < kSendsPerPort; ++i) {
+        tail = std::max(sends[static_cast<std::size_t>(i)], tail) + tx;
+        reference.emplace_back(tail + config.propagation_delay, p, i);
+        EgressPort* port = ports.back().get();
+        Packet pkt = EctSegment();
+        pkt.uid = static_cast<std::uint64_t>(p) << 32 |
+                  static_cast<std::uint64_t>(i);
+        src.ScheduleAt(sends[static_cast<std::size_t>(i)],
+                       [port, pkt] { port->Send(pkt); });
+      }
+    }
+    std::sort(reference.begin(), reference.end());
+    psim.RunUntil(kTickMax);
+
+    ASSERT_EQ(sink.arrivals.size(), reference.size());
+    std::size_t equal_ticks = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const auto [due, p, seq] = reference[i];
+      EXPECT_EQ(sink.arrivals[i].first, due) << "arrival " << i;
+      EXPECT_EQ(sink.arrivals[i].second,
+                static_cast<std::uint64_t>(p) << 32 |
+                    static_cast<std::uint64_t>(seq))
+          << "arrival " << i;
+      if (i > 0 && std::get<0>(reference[i - 1]) == due) ++equal_ticks;
+    }
+    EXPECT_GT(equal_ticks, reference.size() / 4);  // ties are the point
+    EXPECT_EQ(psim.invariant_violations(), 0u);
+    EXPECT_GT(psim.cross_shard_handoffs(), 0u);
   }
-  EXPECT_TRUE(rev.Empty());
+}
+
+// The merge clamp (an arrival behind its destination's horizon, only
+// possible under a wrong channel mask) must not reorder a port's stream:
+// a clamped arrival never overtakes the ring's tail.
+TEST(ArrivalCalendarTest, InboundRingKeepsClampedArrivalsInStreamOrder) {
+  Simulator sim(1);
+  UidSink sink(sim);
+  ArrivalCalendar calendar;
+  InboundRing ring(sink, 0, calendar);
+  Packet pkt;
+  pkt.uid = 1;
+  ring.Append(50, 1, pkt);
+  pkt.uid = 2;
+  ring.Append(20, 2, pkt);  // clamped below its predecessor
+  ASSERT_EQ(calendar.Size(), 1u);
+  EXPECT_EQ(calendar.NextTime(), 50);
+  calendar.DeliverEarliest();
+  EXPECT_EQ(calendar.NextTime(), 50);
+  calendar.DeliverEarliest();
+  EXPECT_TRUE(calendar.Empty());
+  ASSERT_EQ(sink.arrivals.size(), 2u);
+  EXPECT_EQ(sink.arrivals[0].second, 1u);
+  EXPECT_EQ(sink.arrivals[1].second, 2u);
 }
 
 TEST(WindowGangTest, EveryTaskRunsExactlyOncePerWindow) {
@@ -341,16 +400,9 @@ class RecordingSink : public PacketSink {
   Simulator& sim_;
 };
 
-Packet EctSegment() {
-  Packet pkt;
-  pkt.payload = kMss;
-  pkt.ecn = Ecn::kEct;
-  return pkt;
-}
-
-// A sharded port settles serializations lazily and hands each packet to
-// the calendar at admission: it arms no wheel event per packet, at S = 1
-// (intra-shard calendar) and S = 2 (cross-shard staging) alike.
+// A sharded port settles serializations lazily and arms no wheel event
+// per packet: the shard's calendar fires its deliveries, at S = 1 (from
+// the port's own wire) and S = 2 (from the inbound ring) alike.
 TEST(ShardedPortTest, CarriesPacketsWithoutWheelEvents) {
   constexpr int kPackets = 200;
   for (const int shards : {1, 2}) {
