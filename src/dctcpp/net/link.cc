@@ -29,9 +29,10 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
           sim,
           [](void* p) {
             auto* port = static_cast<EgressPort*>(p);
-            Tick at = 0;
-            std::uint64_t key = 0;
-            if (port->DeliverHead(&at, &key)) port->deliver_ev_.ArmAt(at);
+            port->DeliverWireHead();
+            if (!port->due_.Empty()) {
+              port->deliver_ev_.ArmAt(port->due_.Front());
+            }
           },
           this) {
   sim.RegisterCheckpointable(this);
@@ -130,28 +131,27 @@ void EgressPort::EnqueueForTransmit(const Packet& pkt) {
   const Packet& stored = queue_.Back();
   tail_fin_ = std::max(now, tail_fin_) + TxTime(stored.WireSize());
   const Tick due = tail_fin_ + config_.propagation_delay;
-  // (port gid, wire seq) makes the key unique and canonical — the same
-  // packet sorts to the same place whatever the shard count.
-  const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
   if (inbound_ != nullptr) {
     // A cross-shard `due` is at or past the current window's end
-    // (DESIGN.md Sec. 10), so handing the copy off now is safe.
+    // (DESIGN.md Sec. 10), so handing the copy off now is safe. (port
+    // gid, wire seq) makes the key unique and canonical — the same packet
+    // sorts to the same place whatever the shard count.
+    const std::uint64_t key = (port_gid_ << 32) | (wire_seq_++ & 0xffffffffu);
     psim_->Handoff(src_shard_, *inbound_, due, key, stored);
   } else {
     // Due times are strictly increasing, so `due_` stays FIFO-ordered and
     // only its head needs arming.
-    if (due_.Empty()) ArmWire(due, key);
+    if (due_.Empty()) {
+      if (calendar_ != nullptr) {
+        calendar_->Arm(due, HeadKey(), this);
+      } else {
+        deliver_ev_.ArmAt(due);
+      }
+    }
     due_.PushBack(due);
+    ++wire_seq_;
   }
   if (!transmitting_) BeginServiceAt(now);
-}
-
-void EgressPort::ArmWire(Tick at, std::uint64_t key) {
-  if (calendar_ != nullptr) {
-    calendar_->Arm(at, key, this);
-  } else {
-    deliver_ev_.ArmAt(at);
-  }
 }
 
 void EgressPort::BeginServiceAt(Tick start) {
@@ -182,6 +182,14 @@ void EgressPort::Retire() {
 }
 
 bool EgressPort::DeliverHead(Tick* at, std::uint64_t* key) {
+  DeliverWireHead();
+  if (due_.Empty()) return false;
+  *at = due_.Front();
+  *key = HeadKey();
+  return true;
+}
+
+void EgressPort::DeliverWireHead() {
   DCTCPP_PROFILE_SCOPE(kEnqueue);
   // The head's serialization finished at `due - delay`, at or before now:
   // settle so the packet sits in the propagation stage and the next
@@ -194,10 +202,6 @@ bool EgressPort::DeliverHead(Tick* at, std::uint64_t* key) {
   queue_.PopPropagating();
   due_.PopFront();
   Retire();
-  if (due_.Empty()) return false;
-  *at = due_.Front();
-  *key = HeadKey();
-  return true;
 }
 
 void EgressPort::CheckConservation() {

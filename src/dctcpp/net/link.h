@@ -123,9 +123,9 @@ class EgressPort : public Checkpointable, public ArrivalStream {
   /// The fault pipeline, or nullptr when this link is unimpaired.
   const ImpairmentStage* impairment() const { return impairment_.get(); }
 
-  /// Delivers the wire's head packet (ArrivalStream). Fired by the
-  /// delivery event on the serial engine and by the shard's calendar on
-  /// the sharded engine.
+  /// Delivers the wire's head packet (ArrivalStream): fired by the
+  /// shard's calendar on the sharded engine. The serial engine's delivery
+  /// event runs the same DeliverWireHead.
   bool DeliverHead(Tick* at, std::uint64_t* key) override;
 
   /// Checkpoint (registered with the owning Simulator at construction):
@@ -148,12 +148,12 @@ class EgressPort : public Checkpointable, public ArrivalStream {
   /// straight into the queue, skipping re-impairment.
   void InjectReleased(const Packet& pkt) { EnqueueForTransmit(pkt); }
 
-  /// Points whoever fires DeliverHead at the wire's new head (`due_`
-  /// just went non-empty, or a checkpoint restored it).
-  void ArmWire(Tick at, std::uint64_t key);
+  /// Hands the wire's head packet to the peer.
+  void DeliverWireHead();
 
   /// Calendar key of the wire's head: its FIFO position among every
-  /// packet this port admitted.
+  /// packet this port admitted (`wire_seq_` itself while `due_` is
+  /// empty: the next packet's).
   std::uint64_t HeadKey() const {
     return (port_gid_ << 32) | ((wire_seq_ - due_.Size()) & 0xffffffffu);
   }
