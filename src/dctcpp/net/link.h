@@ -75,7 +75,7 @@ class ArrivalCalendar;
 class InboundRing;
 class ParallelSimulation;
 
-class EgressPort : public Checkpointable, public ArrivalStream {
+class EgressPort : public ArrivalStream, public Checkpointable {
  public:
   /// `peer_sim` is the Simulator owning the peer node; only consulted in
   /// sharded mode (sim.parallel() != nullptr), where a peer on another

@@ -79,17 +79,24 @@ void ArrivalCalendar::SiftUp(std::size_t i) {
 }
 
 void ArrivalCalendar::SiftDown(std::size_t i) {
+  // Floyd's variant: a re-filed head is usually later than most others,
+  // so walk the hole to a leaf along the earlier children (one compare per
+  // level) and then sift the head back up the few levels it belongs.
   const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t best = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    if (l < n && Before(heap_[l], heap_[best])) best = l;
-    if (r < n && Before(heap_[r], heap_[best])) best = r;
-    if (best == i) return;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
+  const Head moving = heap_[i];
+  std::size_t hole = i;
+  for (std::size_t child = 2 * hole + 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    heap_[hole] = heap_[child];
+    hole = child;
   }
+  while (hole > i) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!Before(moving, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = moving;
 }
 
 // --- InboundRing --------------------------------------------------------

@@ -127,9 +127,13 @@ class ArrivalCalendar {
     std::uint64_t key;
     ArrivalStream* stream;
   };
+  /// (at, key) as one 128-bit compare, so the sift's child choice
+  /// compiles to a conditional move instead of two unpredictable branches
+  /// (calendar ticks are never negative).
   static bool Before(const Head& a, const Head& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.key < b.key;
+    using U128 = unsigned __int128;
+    return (static_cast<U128>(a.at) << 64 | a.key) <
+           (static_cast<U128>(b.at) << 64 | b.key);
   }
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
