@@ -99,7 +99,7 @@ class DropTailEcnQueue {
     DCTCPP_DASSERT(serving_);
     return queue_.At(n_propagating_);
   }
-  /// Serving -> propagating, in place (the unsharded wire).
+  /// Serving -> propagating, in place (the port's own wire).
   void FinishServiceToWire();
   /// Removes the serving packet (a cross-shard port: its copy went to
   /// the peer shard's inbound ring at admission). Precondition: no
