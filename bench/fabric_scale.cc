@@ -11,9 +11,12 @@
 //     may only change scheduling, never results) and zero invariant
 //     violations. Sync-round gate: the pod S = 4 run, inline and pooled,
 //     crosses exactly 138 barriers (smoke: 95) — the fixed-W count the
-//     one window rule reproduces on uniform link delays. The matrix rows
-//     with S > 1 run inline with no pool, so their wall column measures
-//     sharding overhead, not speedup.
+//     one window rule reproduces on uniform link delays. Parallelism
+//     gate: the pod S = 4 run's available parallelism, events / the sum
+//     over windows of the busiest shard's events (exact, so free of host
+//     noise), is >= 3.7 (smoke: 2.5); it measured 3.778 (2.503). The
+//     matrix rows with S > 1 run inline with no pool, so their wall column
+//     measures sharding overhead, not speedup.
 //  1b. Multicore speedup (full mode only) — the k = 16 matrix run at S = 1
 //     inline vs S = 4 on a 3-thread pool, interleaved, median of 5 each,
 //     timing RunUntil alone (FabricRunResult::run_seconds; setup is
@@ -76,6 +79,8 @@ struct MatrixPoint {
   double cross_fraction = 0.0;
   std::uint64_t cross_handoffs = 0;
   std::uint64_t sync_rounds = 0;
+  /// events / critical_events: exact available parallelism.
+  double parallelism = 0.0;
   int pruned_pairs = 0;
   std::uint64_t fingerprint = 0;
 };
@@ -148,6 +153,8 @@ int Main(int argc, char** argv) {
       p.cross_fraction = r.cross_shard_fraction;
       p.cross_handoffs = r.cross_shard_handoffs;
       p.sync_rounds = r.sync_rounds;
+      p.parallelism = static_cast<double>(r.events) /
+                      static_cast<double>(r.critical_events);
       p.pruned_pairs = r.pruned_pairs;
       p.fingerprint = Fingerprint(r);
       points.push_back(p);
@@ -163,20 +170,33 @@ int Main(int argc, char** argv) {
                      p.strategy, shards);
         ok = false;
       }
-      std::printf("  %-7s S=%d: cross=%.3f sync_rounds=%llu (%.2fs)\n",
+      std::printf("  %-7s S=%d: cross=%.3f sync_rounds=%llu "
+                  "parallelism=%.3f (%.2fs)\n",
                   p.strategy, shards, p.cross_fraction, Ull(p.sync_rounds),
-                  p.wall_s);
+                  p.parallelism, p.wall_s);
     }
   }
   // Same run, different engine knobs: pool, no pruning. The pod S = 4
   // run must cross exactly the recorded number of barriers in each.
   ThreadPool pool(3);
   const std::uint64_t expected_rounds = smoke ? 95 : 138;
+  const double min_parallelism = smoke ? 2.5 : 3.7;
   std::uint64_t rounds_inline = 0;
+  double parallelism = 0.0;
   for (const MatrixPoint& p : points) {
     if (p.shards == 4 && std::strcmp(p.strategy, "pod") == 0) {
       rounds_inline = p.sync_rounds;
+      parallelism = p.parallelism;
     }
+  }
+  std::printf("available parallelism pod S=4: %.3f (need >= %.1f)\n",
+              parallelism, min_parallelism);
+  if (parallelism < min_parallelism) {
+    std::fprintf(stderr,
+                 "fabric_scale: GATE FAIL: pod S=4 available parallelism "
+                 "%.3f < %.1f\n",
+                 parallelism, min_parallelism);
+    ok = false;
   }
   std::uint64_t rounds_pooled = 0;
   std::uint64_t rounds_unpruned = 0;
@@ -455,9 +475,10 @@ int Main(int argc, char** argv) {
                    "    {\"strategy\": \"%s\", \"shards\": %d, "
                    "\"cross_shard_fraction\": %.4f, "
                    "\"cross_shard_handoffs\": %llu, \"sync_rounds\": %llu, "
+                   "\"parallelism\": %.4f, "
                    "\"pruned_pairs\": %d, \"wall_seconds\": %.3f}%s\n",
                    p.strategy, p.shards, p.cross_fraction,
-                   Ull(p.cross_handoffs), Ull(p.sync_rounds),
+                   Ull(p.cross_handoffs), Ull(p.sync_rounds), p.parallelism,
                    p.pruned_pairs, p.wall_s,
                    i + 1 < points.size() ? "," : "");
     }
@@ -471,6 +492,10 @@ int Main(int argc, char** argv) {
                  "\"expected\": %llu},\n",
                  Ull(rounds_inline), Ull(rounds_pooled),
                  Ull(rounds_unpruned), Ull(expected_rounds));
+    std::fprintf(out,
+                 "  \"parallelism_pod_s4\": {\"parallelism\": %.4f, "
+                 "\"min_parallelism\": %.1f},\n",
+                 parallelism, min_parallelism);
     if (speedup_measured) {
       std::fprintf(out,
                    "  \"speedup_s4\": {\"timed\": \"RunUntil\", "

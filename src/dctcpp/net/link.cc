@@ -12,8 +12,8 @@ namespace dctcpp {
 
 namespace {
 
-/// Stream-id base for per-port RED randomness in sharded mode, disjoint
-/// from the impairment stream ids (dense from 0) and the per-socket base
+/// Stream-id base for per-port RED randomness, disjoint from the
+/// impairment stream ids (dense from 0) and the per-socket base
 /// (1 << 40 | ...).
 constexpr std::uint64_t kRedStreamBase = 1ULL << 41;
 
@@ -25,53 +25,38 @@ EgressPort::EgressPort(Simulator& sim, const LinkConfig& config,
       config_(config),
       peer_(peer),
       queue_(config.buffer_bytes, config.ecn_threshold),
-      deliver_ev_(
-          sim,
-          [](void* p) {
-            auto* port = static_cast<EgressPort*>(p);
-            port->DeliverWireHead();
-            if (!port->due_.Empty()) {
-              port->deliver_ev_.ArmAt(port->due_.Front());
-            }
-          },
-          this) {
+      // Every port claims a gid (whether or not it crosses shards) so the
+      // arrival key space depends only on topology-construction order.
+      port_gid_(sim.NextPortId()) {
   sim.RegisterCheckpointable(this);
-  if (sim.parallel() != nullptr) {
+  tx_size_data_ = kMss + kHeaderBytes;
+  tx_time_data_ = config_.rate.TransmissionTime(tx_size_data_);
+  tx_size_ack_ = kHeaderBytes;
+  tx_time_ack_ = config_.rate.TransmissionTime(tx_size_ack_);
+  if (peer_sim != nullptr && peer_sim != &sim) {
     psim_ = sim.parallel();
+    DCTCPP_ASSERT(psim_ != nullptr && peer_sim->parallel() == psim_);
     src_shard_ = sim.shard_id();
-    const int dst_shard =
-        peer_sim != nullptr ? peer_sim->shard_id() : src_shard_;
-    // Every port claims a gid (whether or not it crosses shards) so the
-    // calendar key space depends only on topology-construction order.
-    port_gid_ = sim.NextPortId();
-    if (dst_shard == src_shard_) {
-      calendar_ = &psim_->calendar(src_shard_);
-    } else {
-      inbound_ = &psim_->AddInboundRing(peer_, dst_shard);
-    }
-    // A zero-delay link would make the conservative lookahead zero.
-    DCTCPP_ASSERT(config.propagation_delay > 0);
+    inbound_ = &psim_->AddInboundRing(peer_, peer_sim->shard_id());
     // Feed the window width: this link bounds how fast an event on
-    // src_shard_ can influence dst_shard (or, intra-shard, how far the
-    // shard's wheel may run before re-reading its own calendar).
-    psim_->ObserveChannel(src_shard_, dst_shard, config.propagation_delay);
+    // src_shard_ can influence the peer's shard.
+    psim_->ObserveChannel(src_shard_, peer_sim->shard_id(),
+                          config.propagation_delay);
+  } else {
+    // An admission at u is due at u + TxTime + delay or later, and the
+    // smallest wire packet (a bare header) serializes in at least one
+    // tick because TransmissionTime rounds up: the lookahead is positive
+    // even on a zero-delay link.
+    sim.ObserveLocalLink(config.propagation_delay + tx_time_ack_);
   }
   if (config.red) {
-    if (psim_ != nullptr) {
-      red_rng_ = sim.StreamRng(kRedStreamBase + port_gid_);
-      queue_.EnableRed(config.red_config, &red_rng_);
-    } else {
-      queue_.EnableRed(config.red_config, &sim.rng());
-    }
+    red_rng_ = sim.StreamRng(kRedStreamBase + port_gid_);
+    queue_.EnableRed(config.red_config, &red_rng_);
   }
   if (config.impairment.Any()) {
     impairment_ =
         std::make_unique<ImpairmentStage>(sim, config.impairment, *this);
   }
-  tx_size_data_ = kMss + kHeaderBytes;
-  tx_time_data_ = config_.rate.TransmissionTime(tx_size_data_);
-  tx_size_ack_ = kHeaderBytes;
-  tx_time_ack_ = config_.rate.TransmissionTime(tx_size_ack_);
 }
 
 EgressPort::~EgressPort() {
@@ -141,13 +126,7 @@ void EgressPort::EnqueueForTransmit(const Packet& pkt) {
   } else {
     // Due times are strictly increasing, so `due_` stays FIFO-ordered and
     // only its head needs arming.
-    if (due_.Empty()) {
-      if (calendar_ != nullptr) {
-        calendar_->Arm(due, HeadKey(), this);
-      } else {
-        deliver_ev_.ArmAt(due);
-      }
-    }
+    if (due_.Empty()) sim_.calendar().Arm(due, HeadKey(), this);
     due_.PushBack(due);
     ++wire_seq_;
   }
@@ -182,14 +161,6 @@ void EgressPort::Retire() {
 }
 
 bool EgressPort::DeliverHead(Tick* at, std::uint64_t* key) {
-  DeliverWireHead();
-  if (due_.Empty()) return false;
-  *at = due_.Front();
-  *key = HeadKey();
-  return true;
-}
-
-void EgressPort::DeliverWireHead() {
   DCTCPP_PROFILE_SCOPE(kEnqueue);
   // The head's serialization finished at `due - delay`, at or before now:
   // settle so the packet sits in the propagation stage and the next
@@ -202,6 +173,10 @@ void EgressPort::DeliverWireHead() {
   queue_.PopPropagating();
   due_.PopFront();
   Retire();
+  if (due_.Empty()) return false;
+  *at = due_.Front();
+  *key = HeadKey();
+  return true;
 }
 
 void EgressPort::CheckConservation() {
@@ -231,9 +206,9 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   for (std::uint64_t s : red_state) w.U64(s);
   // No finish event exists: the lazy finish instants are the whole
   // serialization state. Unsettled completions are checkpoint-faithful
-  // as-is — restoring the same (t_fin_, tail_fin_, due_, delivery arming)
-  // replays the same settlements. The serving and propagating packets
-  // are inside the queue blob already (region sizes lead it).
+  // as-is — restoring the same (t_fin_, tail_fin_, due_) replays the same
+  // settlements. The serving and propagating packets are inside the queue
+  // blob already (region sizes lead it).
   w.Bool(transmitting_);
   if (transmitting_) {
     w.I64(in_flight_bytes_);
@@ -244,15 +219,6 @@ void EgressPort::SaveState(CheckpointWriter& w) const {
   w.U64(retired_);
   w.U64(due_.Size());
   due_.ForEach([&w](Tick t) { w.I64(t); });
-  // A local sharded port's calendar entry is rebuilt from the head on
-  // load; only the wheel needs its exact arming (the insertion seq).
-  if (!due_.Empty() && calendar_ == nullptr) {
-    Tick at = 0;
-    std::uint64_t seq = 0;
-    deliver_ev_.Arming(&at, &seq);
-    w.I64(at);
-    w.U64(seq);
-  }
 }
 
 void EgressPort::LoadState(CheckpointReader& r) {
@@ -272,14 +238,9 @@ void EgressPort::LoadState(CheckpointReader& r) {
   DCTCPP_ASSERT(due_.Empty());
   const std::uint64_t wire = r.U64();
   for (std::uint64_t i = 0; i < wire; ++i) due_.PushBack(r.I64());
-  if (due_.Empty()) return;
-  if (calendar_ != nullptr) {
-    calendar_->Arm(due_.Front(), HeadKey(), this);
-  } else {
-    const Tick at = r.I64();
-    const std::uint64_t seq = r.U64();
-    deliver_ev_.ArmAtWithSeq(at, seq);
-  }
+  // The calendar's order is total in (at, key), so re-arming in any order
+  // rebuilds it exactly.
+  if (!due_.Empty()) sim_.calendar().Arm(due_.Front(), HeadKey(), this);
 }
 
 void EgressPort::AuditQueueBytes() {

@@ -7,15 +7,14 @@
 // forward pipeline whose capacity (C*D + B) the paper's incast bursts
 // overflow.
 //
-// One transmitter and one wire serve both engines. Serializations settle
+// One transmitter and one wire serve every engine. Serializations settle
 // lazily (SettleTo) and each packet's delivery instant is fixed at
 // admission; the packet then propagates inside the port's own queue ring
-// until DeliverHead hands it to the peer. The engines differ only in who
-// fires DeliverHead: on the serial engine one pinned wheel event per port;
-// on the sharded engine (net/parallel.h) the shard's arrival calendar,
-// which orders ports by their head arrival. Only a port whose peer lives
-// on another shard leaves its wire at admission: its copy goes to the
-// destination shard's inbound ring for this port.
+// until its Simulator's arrival calendar (sim/arrival_calendar.h), which
+// orders ports by their head arrival, fires DeliverHead. Only a port whose
+// peer lives on another shard (net/parallel.h) leaves its wire at
+// admission: its copy goes to the destination shard's inbound ring for
+// this port.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +25,6 @@
 #include "dctcpp/net/packet.h"
 #include "dctcpp/net/packet_ring.h"
 #include "dctcpp/net/queue.h"
-#include "dctcpp/sim/pinned_event.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/assert.h"
 #include "dctcpp/util/units.h"
@@ -40,20 +38,6 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void Deliver(const Packet& pkt) = 0;
-};
-
-/// One port's packet arrivals on one shard, leaving in strictly increasing
-/// (at, key) order: a local port's own wire, or a cross-shard port's
-/// inbound ring (net/parallel.h). A shard's ArrivalCalendar orders these
-/// streams by their head arrival.
-class ArrivalStream {
- public:
-  /// Delivers the head arrival, due now. Returns false when the stream is
-  /// empty afterwards; otherwise stores its new head in (*at, *key).
-  virtual bool DeliverHead(Tick* at, std::uint64_t* key) = 0;
-
- protected:
-  ~ArrivalStream() = default;
 };
 
 /// Configuration of one link direction.
@@ -71,16 +55,14 @@ struct LinkConfig {
   ImpairmentConfig impairment;
 };
 
-class ArrivalCalendar;
 class InboundRing;
 class ParallelSimulation;
 
 class EgressPort : public ArrivalStream, public Checkpointable {
  public:
-  /// `peer_sim` is the Simulator owning the peer node; only consulted in
-  /// sharded mode (sim.parallel() != nullptr), where a peer on another
-  /// shard makes this a cross-shard port. Defaults to the port's own
-  /// world.
+  /// `peer_sim` is the Simulator owning the peer node; a peer on another
+  /// shard of a ParallelSimulation makes this a cross-shard port. Defaults
+  /// to the port's own world.
   EgressPort(Simulator& sim, const LinkConfig& config, PacketSink& peer,
              Simulator* peer_sim = nullptr);
   ~EgressPort() override;
@@ -106,7 +88,7 @@ class EgressPort : public ArrivalStream, public Checkpointable {
   /// delay on a port that delivers from its own wire, until the next
   /// admission on a cross-shard port, which delivers nothing itself.
   /// Admission/marking decisions always run on settled state, and a
-  /// serial port's value is exact whenever the simulator is drained.
+  /// local port's value is exact whenever its simulator is drained.
   Bytes BacklogBytes() const {
     return queue_.OccupancyBytes() + in_flight_bytes_;
   }
@@ -123,16 +105,15 @@ class EgressPort : public ArrivalStream, public Checkpointable {
   /// The fault pipeline, or nullptr when this link is unimpaired.
   const ImpairmentStage* impairment() const { return impairment_.get(); }
 
-  /// Delivers the wire's head packet (ArrivalStream): fired by the
-  /// shard's calendar on the sharded engine. The serial engine's delivery
-  /// event runs the same DeliverWireHead.
+  /// Delivers the wire's head packet to the peer (ArrivalStream): fired
+  /// by the Simulator's calendar, which this port arms while its wire
+  /// holds packets.
   bool DeliverHead(Tick* at, std::uint64_t* key) override;
 
   /// Checkpoint (registered with the owning Simulator at construction):
   /// queue contents, the serializing packet with its lazy finish instant,
-  /// the propagation pipeline, the impairment stage, counters, and — on
-  /// the serial engine — the delivery event's exact arming. A local
-  /// sharded port re-arms its shard's calendar on load instead.
+  /// the propagation pipeline, the impairment stage and counters. The
+  /// calendar entry is rebuilt from the wire's head on load.
   void SaveState(CheckpointWriter& w) const override;
   void LoadState(CheckpointReader& r) override;
 
@@ -147,9 +128,6 @@ class EgressPort : public ArrivalStream, public Checkpointable {
   /// Re-entry point for packets the impairment stage held for reordering:
   /// straight into the queue, skipping re-impairment.
   void InjectReleased(const Packet& pkt) { EnqueueForTransmit(pkt); }
-
-  /// Hands the wire's head packet to the peer.
-  void DeliverWireHead();
 
   /// Calendar key of the wire's head: its FIFO position among every
   /// packet this port admitted (`wire_seq_` itself while `due_` is
@@ -208,15 +186,13 @@ class EgressPort : public ArrivalStream, public Checkpointable {
   PacketSink& peer_;
   DropTailEcnQueue queue_;
   std::unique_ptr<ImpairmentStage> impairment_;
-  // Sharded-mode state (see net/parallel.h). Every wire packet carries
-  // the key port gid << 32 | wire seq. A local port (peer on its own
-  // shard) keeps its wire and arms `calendar_` instead of the pinned
-  // delivery event. A cross-shard port hands (due, key, packet) to the
-  // peer shard's `inbound_` ring at admission and has no wire. RED draws
-  // from the port's private stream instead of the (shard-local,
-  // draw-order-fragile) run RNG.
+  // Every wire packet carries the key port gid << 32 | wire seq. A local
+  // port (peer in its own Simulator) keeps its wire and arms its
+  // Simulator's calendar. A cross-shard port (net/parallel.h) hands (due,
+  // key, packet) to the peer shard's `inbound_` ring at admission and has
+  // no wire. RED draws from the port's private stream, never from the run
+  // RNG, whose draw order would depend on the shard count.
   ParallelSimulation* psim_ = nullptr;
-  ArrivalCalendar* calendar_ = nullptr;
   InboundRing* inbound_ = nullptr;
   int src_shard_ = 0;
   std::uint64_t port_gid_ = 0;
@@ -242,14 +218,12 @@ class EgressPort : public ArrivalStream, public Checkpointable {
   // last admitted packet's. `due_` holds the delivery instant of every
   // admitted packet not yet delivered (queued, serving or propagating),
   // in admission order. Propagation delay is constant
-  // per port, so the wire delivers in FIFO order: the port's delivery
-  // event (serial) or its calendar entry (sharded) tracks `due_.Front()`,
-  // armed exactly while `due_` is non-empty — one wheel node or heap
-  // entry per port however many packets it carries.
+  // per port, so the wire delivers in FIFO order: the port's calendar
+  // entry tracks `due_.Front()`, armed exactly while `due_` is non-empty —
+  // one heap entry per port however many packets it carries.
   FifoRing<Tick> due_{64};
   Tick t_fin_ = 0;
   Tick tail_fin_ = 0;
-  PinnedEvent deliver_ev_;
 };
 
 }  // namespace dctcpp

@@ -46,59 +46,6 @@ inline void SpinWait(int iteration) {
 
 }  // namespace
 
-// --- ArrivalCalendar ------------------------------------------------------
-
-void ArrivalCalendar::DeliverEarliest() {
-  DCTCPP_DASSERT(!heap_.empty());
-  const Head top = heap_[0];
-  Tick at = 0;
-  std::uint64_t key = 0;
-  // The delivery may arm other streams, but each lands at least one link
-  // delay later, strictly behind this head: the stream stays at the root.
-  const bool more = top.stream->DeliverHead(&at, &key);
-  DCTCPP_DASSERT(heap_[0].stream == top.stream);
-  if (more) {
-    DCTCPP_DASSERT(Before(top, Head{at, key, top.stream}));
-    heap_[0].at = at;
-    heap_[0].key = key;
-  } else {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (heap_.empty()) return;
-  }
-  SiftDown(0);
-}
-
-void ArrivalCalendar::SiftUp(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!Before(heap_[i], heap_[parent])) return;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void ArrivalCalendar::SiftDown(std::size_t i) {
-  // Floyd's variant: a re-filed head is usually later than most others,
-  // so walk the hole to a leaf along the earlier children (one compare per
-  // level) and then sift the head back up the few levels it belongs.
-  const std::size_t n = heap_.size();
-  const Head moving = heap_[i];
-  std::size_t hole = i;
-  for (std::size_t child = 2 * hole + 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
-    heap_[hole] = heap_[child];
-    hole = child;
-  }
-  while (hole > i) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!Before(moving, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = moving;
-}
-
 // --- InboundRing --------------------------------------------------------
 
 void InboundRing::Append(Tick at, std::uint64_t key, const Packet& pkt) {
@@ -216,15 +163,7 @@ void ParallelSimulation::ObserveChannel(int src, int dst,
                                         Tick propagation_delay) {
   DCTCPP_ASSERT(propagation_delay > 0);
   DCTCPP_DASSERT(src >= 0 && src < shard_count());
-  DCTCPP_DASSERT(dst >= 0 && dst < shard_count());
-  if (src == dst) {
-    // Intra-shard channel: bounds how deep the shard's own wheel may run
-    // before re-reading its calendar (see RunShardWindow), but plays no
-    // part in W.
-    Shard& sh = *shards_[static_cast<std::size_t>(src)];
-    sh.self_delay = std::min(sh.self_delay, propagation_delay);
-    return;
-  }
+  DCTCPP_DASSERT(dst >= 0 && dst < shard_count() && src != dst);
   Tick& slot = channel_min_[static_cast<std::size_t>(src) *
                                 static_cast<std::size_t>(shard_count()) +
                             static_cast<std::size_t>(dst)];
@@ -254,7 +193,7 @@ InboundRing& ParallelSimulation::AddInboundRing(PacketSink& sink,
                                                 int dst_shard) {
   Shard& dst = *shards_[static_cast<std::size_t>(dst_shard)];
   dst.inbound.push_back(
-      std::make_unique<InboundRing>(sink, dst_shard, dst.calendar));
+      std::make_unique<InboundRing>(sink, dst_shard, dst.sim.calendar()));
   return *dst.inbound.back();
 }
 
@@ -285,33 +224,8 @@ std::uint64_t ParallelSimulation::pruned_channel_handoffs() const {
 
 void ParallelSimulation::RunShardWindow(int idx, Tick end) {
   Shard& sh = *shards_[static_cast<std::size_t>(idx)];
-  Simulator& sim = sh.sim;
   const double start = WallSeconds();
-  for (;;) {
-    const Tick tc = sh.calendar.NextTime();
-    const Tick tw = sim.scheduler().NextTime();
-    if (std::min(tc, tw) >= end) break;
-    if (tc <= tw) {
-      // All arrivals due at tick tc deliver before any wheel event at tc,
-      // in (at, key) order — the canonical tie-break shared by every
-      // shard count. Deliveries may schedule wheel work at tc (handled
-      // next iteration, after the batch); handoffs they trigger land at
-      // least one link delay later, never inside the batch.
-      sim.SetNow(tc);
-      do {
-        sh.calendar.DeliverEarliest();
-        ++sh.delivered;
-      } while (sh.calendar.NextTime() == tc);
-    } else {
-      // Wheel events up to the intra-shard lookahead horizon: an event at
-      // u >= tw may arm this shard's own calendar with an arrival due
-      // u + self_delay at the earliest, so every wheel tick before
-      // tw + self_delay is safe to run blind — but no further, because W
-      // only bounds cross-shard links: an intra-shard link may be faster,
-      // and at S = 1 or under full pruning the window is unbounded.
-      sim.RunWindow(std::min({tc, end, SatAddTick(tw, sh.self_delay)}));
-    }
-  }
+  sh.window_events = sh.sim.RunWindow(end);
   sh.busy_s += WallSeconds() - start;
 }
 
@@ -397,6 +311,12 @@ std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
       for (const int idx : active_) RunShardWindow(idx, window_end_);
     }
     window_s_ += WallSeconds() - window_start;
+    std::uint64_t busiest = 0;
+    for (const int idx : active_) {
+      busiest = std::max(
+          busiest, shards_[static_cast<std::size_t>(idx)]->window_events);
+    }
+    critical_events_ += busiest;
     MergeStaging();
   }
   stopped_ = stop_.load(std::memory_order_acquire);
@@ -413,9 +333,7 @@ std::uint64_t ParallelSimulation::RunUntil(Tick deadline, ThreadPool* pool) {
 
 std::uint64_t ParallelSimulation::events_executed() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->sim.events_executed() + sh->delivered;
-  }
+  for (const auto& sh : shards_) total += sh->sim.events_executed();
   return total;
 }
 
@@ -428,7 +346,7 @@ std::uint64_t ParallelSimulation::packets_forwarded() const {
 std::size_t ParallelSimulation::CalendarBytes() const {
   std::size_t total = 0;
   for (const auto& sh : shards_) {
-    total += sh->calendar.bytes() +
+    total += sh->sim.calendar().bytes() +
              sh->inbound.capacity() * sizeof(std::unique_ptr<InboundRing>);
     for (const auto& ring : sh->inbound) {
       total += sizeof(InboundRing) + ring->bytes();
@@ -448,7 +366,7 @@ ShardTimes ParallelSimulation::shard_times(int i) const {
 
 std::uint64_t ParallelSimulation::calendar_deliveries() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->delivered;
+  for (const auto& sh : shards_) total += sh->sim.deliveries();
   return total;
 }
 
@@ -514,6 +432,7 @@ void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
   w.I64(WindowWidth());  // audit: rebuilt by topology construction
   w.Bool(stopped_);
   w.U64(sync_rounds_);
+  w.U64(critical_events_);
   w.U64(merge_causality_violations_);
   for (const auto& sh : shards_) {
     w.Tag(kTagShard);
@@ -521,10 +440,8 @@ void ParallelSimulation::SaveCheckpoint(CheckpointWriter& w,
     // merge; a non-empty one here means we are not at a RunUntil return.
     DCTCPP_ASSERT(sh->staging.Empty());
     sh->sim.SaveCheckpoint(w, hooks);
-    w.U64(sh->delivered);
     w.U64(sh->cross_deposits);
     w.I64(sh->ran_to);
-    w.I64(sh->self_delay);  // audit: rebuilt by topology construction
     w.U64(sh->pruned_handoffs);
     // Local ports saved their wires with the shard; the calendar heap is
     // rebuilt from the wires and rings on load, so only the rings remain.
@@ -545,16 +462,14 @@ void ParallelSimulation::RestoreCheckpoint(CheckpointReader& r,
   stopped_ = r.Bool();
   if (stopped_) stop_.store(true, std::memory_order_release);
   sync_rounds_ = r.U64();
+  critical_events_ = r.U64();
   merge_causality_violations_ = r.U64();
   for (auto& sh : shards_) {
     r.ExpectTag(kTagShard);
-    DCTCPP_ASSERT(sh->staging.Empty() && sh->calendar.Empty());
+    DCTCPP_ASSERT(sh->staging.Empty() && sh->sim.calendar().Empty());
     sh->sim.RestoreCheckpoint(r, hooks);
-    sh->delivered = r.U64();
     sh->cross_deposits = r.U64();
     sh->ran_to = r.I64();
-    const Tick saved_self_delay = r.I64();
-    DCTCPP_ASSERT(saved_self_delay == sh->self_delay);
     sh->pruned_handoffs = r.U64();
     DCTCPP_ASSERT(r.U64() == sh->inbound.size());
     for (auto& ring : sh->inbound) ring->LoadState(r);

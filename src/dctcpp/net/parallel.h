@@ -1,7 +1,8 @@
 // Conservative time-windowed parallel execution of one simulated world.
 //
 // A `ParallelSimulation` splits a topology into S shards, each a full
-// `Simulator` (own wheel, arena, invariant recorder) holding a subset of
+// `Simulator` (own wheel, arrival calendar, arena, invariant recorder,
+// and the one run loop) holding a subset of
 // the hosts and switches. The only interaction between nodes is packet
 // propagation over links, and every link imposes a positive propagation
 // delay, so cross-shard influence is bounded below by link delays: an
@@ -24,7 +25,8 @@
 // DESIGN.md Sec. 10 has the measurements behind keeping no other.
 //
 // Determinism is the design center: a run is bit-identical across shard
-// counts and pools. The ingredients:
+// counts and pools, and a single `Simulator` running the same topology is
+// the S = 1 case. The ingredients:
 //
 //  - Executed set. Windows only chunk each shard's canonical event
 //    sequence; they never reorder it (wheel events pop in (time, seq)
@@ -32,21 +34,15 @@
 //    wheel events at equal ticks). The run always ends at the same
 //    canonical point — the queues drain or the deadline passes — so the
 //    executed set is identical however execution was chunked.
-//  - Delivery order. Every packet's delivery instant is fixed when its
-//    egress port admits it (net/link.h), and every delivery is keyed
-//    (arrival tick, port id << 32 | per-port wire sequence). Port ids
-//    come from a shared construction-time sequence
-//    (Simulator::NextPortId) fixed by topology-build order; wire sequence
-//    is the per-port FIFO position. Each port's deliveries leave in
-//    strictly increasing key order, so the destination shard's arrival
-//    calendar orders ports, not packets: a min-heap over the head of
-//    every port with pending arrivals. A port whose peer is on its own
-//    shard keeps its packets on its own wire and arms the calendar when
-//    the wire goes non-empty; a cross-shard port's packets are copied at
-//    admission and merged at the barrier into an inbound ring per port on
-//    the destination shard. At any tick, calendar deliveries run before
-//    wheel events in ascending key order — a total order that mentions
-//    nothing about shards or windows.
+//  - Delivery order. Every delivery is keyed (arrival tick, port gid <<
+//    32 | per-port wire sequence) with shard-count-invariant port gids
+//    (sim/arrival_calendar.h). A port whose peer is on its own shard
+//    keeps its packets on its own wire and arms its shard's calendar; a
+//    cross-shard port's packets are copied at admission and merged at the
+//    barrier into an inbound ring per port on the destination shard,
+//    which arms the destination's calendar. At any tick, calendar
+//    deliveries run before wheel events in ascending key order — a total
+//    order that mentions nothing about shards or windows.
 //  - Stop = quiesce. Simulator::Stop() from inside a shard marks the run
 //    stopped, but the coordinator keeps windowing until the world drains
 //    (or the deadline passes). Shards overshoot a mid-window stop by
@@ -65,12 +61,6 @@
 // wheel (the scheduler's (time, insertion-seq) contract), nodes touch no
 // common state except through the calendar, and cross-node counters are
 // commutative sums.
-//
-// Note the promise is invariance across {shard count, pool}, not
-// equality with the serial single-Simulator path: at equal-tick collisions
-// the serial engine orders deliveries by wheel insertion while the
-// calendar orders by port id, so the two engines are separately
-// deterministic.
 #pragma once
 
 #include <atomic>
@@ -87,59 +77,6 @@
 #include "dctcpp/util/time.h"
 
 namespace dctcpp {
-
-/// Saturating tick addition (deadlines may be kTickMax).
-inline Tick SatAddTick(Tick a, Tick b) {
-  return a > kTickMax - b ? kTickMax : a + b;
-}
-
-/// Min-heap of the arrival streams of one shard with pending arrivals,
-/// ordered by each stream's head (at, key). Keys are unique (gid << 32 |
-/// per-port sequence), so the order is total and independent of arming
-/// order, and since every stream is itself in (at, key) order, popping
-/// heads yields the shard's arrivals in canonical order. Entries are 24
-/// bytes: the packets stay in their streams.
-class ArrivalCalendar {
- public:
-  bool Empty() const { return heap_.empty(); }
-  /// Streams armed (ports with pending arrivals).
-  std::size_t Size() const { return heap_.size(); }
-  /// Heap capacity in bytes (footprint accounting).
-  std::size_t bytes() const { return heap_.capacity() * sizeof(Head); }
-
-  /// Earliest due tick, or kTickMax when empty.
-  Tick NextTime() const { return heap_.empty() ? kTickMax : heap_[0].at; }
-
-  /// Adds `stream`, whose head is (at, key). Called when a stream goes
-  /// non-empty; a stream is armed at most once at a time.
-  void Arm(Tick at, std::uint64_t key, ArrivalStream* stream) {
-    heap_.push_back(Head{at, key, stream});
-    SiftUp(heap_.size() - 1);
-  }
-
-  /// Delivers the earliest head and re-files its stream under its next
-  /// head, or drops it when the stream ran dry. Precondition: !Empty().
-  void DeliverEarliest();
-
- private:
-  struct Head {
-    Tick at;
-    std::uint64_t key;
-    ArrivalStream* stream;
-  };
-  /// (at, key) as one 128-bit compare, so the sift's child choice
-  /// compiles to a conditional move instead of two unpredictable branches
-  /// (calendar ticks are never negative).
-  static bool Before(const Head& a, const Head& b) {
-    using U128 = unsigned __int128;
-    return (static_cast<U128>(a.at) << 64 | a.key) <
-           (static_cast<U128>(b.at) << 64 | b.key);
-  }
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
-
-  std::vector<Head> heap_;
-};
 
 /// Cross-shard arrivals of one egress port, on its destination shard:
 /// the barrier merge appends them in wire order and the shard's calendar
@@ -290,11 +227,11 @@ class ParallelSimulation {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   Simulator& shard(int i) { return shards_[static_cast<std::size_t>(i)]->sim; }
 
-  /// Called by EgressPort construction for every link direction (zero
-  /// delays are rejected: they would leave no lookahead). A cross-shard
-  /// link lowers the (src, dst) channel's minimum delay, from which
-  /// RunUntil takes the window W; an intra-shard link lowers the shard's
-  /// self_delay (see RunShardWindow).
+  /// Called by EgressPort construction for every cross-shard link
+  /// direction (zero delays are rejected: they would leave no lookahead).
+  /// Lowers the (src, dst) channel's minimum delay, from which RunUntil
+  /// takes the window W. Intra-shard links bound their shard's own run
+  /// loop instead (Simulator::ObserveLocalLink).
   void ObserveChannel(int src, int dst, Tick propagation_delay);
 
   /// Channel pruning: W ignores every shard pair not in `allowed`
@@ -323,12 +260,6 @@ class ParallelSimulation {
   /// end (DESIGN.md Sec. 10).
   void Handoff(int src, InboundRing& ring, Tick at, std::uint64_t key,
                const Packet& pkt);
-
-  /// Shard `i`'s arrival calendar, which a local EgressPort arms with its
-  /// wire (topology construction).
-  ArrivalCalendar& calendar(int i) {
-    return shards_[static_cast<std::size_t>(i)]->calendar;
-  }
 
   /// Creates the inbound ring on shard `dst_shard` that feeds `sink` with
   /// one cross-shard port's packets (topology construction, so rings are
@@ -370,12 +301,11 @@ class ParallelSimulation {
   std::uint64_t merge_causality_violations() const {
     return merge_causality_violations_;
   }
-  /// Events (wheel + calendar) executed by shard `i`. The maximum share
-  /// bounds the achievable parallel speedup: total / max.
-  std::uint64_t shard_events(int i) {
-    Shard& sh = *shards_[static_cast<std::size_t>(i)];
-    return sh.sim.scheduler().executed() + sh.delivered;
-  }
+  /// Sum over windows of the largest event count any one shard ran in
+  /// that window: the run's critical path in events, since a window ends
+  /// only when its busiest shard does. events_executed() divided by it is
+  /// the available parallelism; exact, unlike a wall-clock speedup.
+  std::uint64_t critical_events() const { return critical_events_; }
   /// Host time split of shard `i` (see ShardTimes).
   ShardTimes shard_times(int i) const;
   /// Bytes held by the calendars' heaps and the inbound rings.
@@ -398,22 +328,17 @@ class ParallelSimulation {
   struct Shard {
     explicit Shard(std::uint64_t seed) : sim(seed) {}
     Simulator sim;
-    ArrivalCalendar calendar;
     /// Cross-shard ports feeding this shard, in gid order.
     std::vector<std::unique_ptr<InboundRing>> inbound;
     /// Cross-shard deposits made during the current window; written only
     /// by this shard's runner, drained only by the coordinator between
     /// windows.
     OutboxStaging staging;
-    std::uint64_t delivered = 0;       ///< calendar deliveries executed
     std::uint64_t cross_deposits = 0;  ///< entries that left this shard
+    std::uint64_t window_events = 0;   ///< events run in the last window
     /// Highest window end this shard was ever released to run under; a
     /// merged arrival below it would be a causality violation.
     Tick ran_to = 0;
-    /// Minimum propagation delay of any link with both endpoints on this
-    /// shard: how far the wheel may run blind before an event could have
-    /// armed this shard's own calendar with a new arrival.
-    Tick self_delay = kTickMax;
     /// Handoffs this shard deposited onto a pruned channel (written only
     /// by the shard's runner; a violation of the RestrictChannels mask).
     std::uint64_t pruned_handoffs = 0;
@@ -424,17 +349,17 @@ class ParallelSimulation {
   };
 
   /// Earliest pending work (wheel or calendar) of one shard.
-  Tick ShardNext(Shard& sh) {
-    return std::min(sh.sim.scheduler().NextTime(), sh.calendar.NextTime());
+  static Tick ShardNext(Shard& sh) {
+    return std::min(sh.sim.scheduler().NextTime(),
+                    sh.sim.calendar().NextTime());
   }
 
   /// W: the minimum delay over the cross-shard channels the mask allows,
   /// kTickMax when there is none.
   Tick WindowWidth() const;
 
-  /// Runs one shard's slice of the window [*, end): wheel events and
-  /// calendar deliveries interleaved in canonical order, deliveries first
-  /// at equal ticks.
+  /// Runs one shard's slice of the window [*, end) (Simulator::RunWindow)
+  /// and times it.
   void RunShardWindow(int idx, Tick end);
 
   /// Drains every shard's staging buffer into the destination inbound
@@ -456,6 +381,7 @@ class ParallelSimulation {
   std::vector<int> active_;  ///< shard ids of the window being run
   Tick window_end_ = 0;      ///< end of the window being run
   std::uint64_t sync_rounds_ = 0;
+  std::uint64_t critical_events_ = 0;
   double window_s_ = 0.0;  ///< host seconds inside windows, all shards
   std::uint64_t merge_causality_violations_ = 0;
 };

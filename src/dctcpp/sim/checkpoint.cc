@@ -91,6 +91,10 @@ void Simulator::SaveCheckpoint(CheckpointWriter& w,
   w.U64(scheduler_.next_seq());
   w.U64(scheduler_.executed());
   w.U64(scheduler_.PendingCount());
+  // The calendar heap is rebuilt by the streams' LoadState; its lookahead
+  // is rebuilt by topology construction and only audited.
+  w.U64(delivered_);
+  w.I64(lookahead_);
 }
 
 void Simulator::RestoreCheckpoint(CheckpointReader& r, CheckpointHooks* hooks) {
@@ -135,6 +139,10 @@ void Simulator::RestoreCheckpoint(CheckpointReader& r, CheckpointHooks* hooks) {
   // a component forgot to re-arm (or armed something extra) on restore.
   DCTCPP_ASSERT(live == scheduler_.PendingCount());
   (void)live;
+  delivered_ = r.U64();
+  const Tick saved_lookahead = r.I64();
+  DCTCPP_ASSERT(saved_lookahead == lookahead_);
+  (void)saved_lookahead;
 }
 
 }  // namespace dctcpp

@@ -4,7 +4,7 @@
 // — in practice right after Simulator::RunUntil / ParallelSimulation::
 // RunUntil returns. At a barrier the scheduler's same-tick run-buffer is
 // empty and every in-flight packet sits in a serializable container (a
-// port queue, the wire, a reorder hold, or a shard calendar), so the
+// port queue, the wire, a reorder hold, or an inbound ring), so the
 // world's entire future is a pure function of the serialized state.
 //
 // Restore is a two-phase protocol over a FRESHLY BUILT world (same
@@ -55,7 +55,7 @@ class CheckpointWriter {
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
   /// Bumped whenever the blob layout changes; a restore aborts on any
   /// other version.
-  static constexpr std::uint32_t kVersion = 5;
+  static constexpr std::uint32_t kVersion = 6;
 
   static CheckpointWriter HashOnly() {
     CheckpointWriter w;

@@ -3,8 +3,8 @@
 // in place as many times as needed.
 //
 // This is the scheduling primitive for callers that fire the same
-// continuation once per packet or per timer window (EgressPort's
-// transmit/deliver events, TcpSocket's timers via Timer). A plain
+// continuation once per packet or per timer window (TcpSocket's timers
+// via Timer, the impairment stage's release event). A plain
 // Simulator::Schedule pays node allocation, callable relocation, and node
 // recycling on every event; arming a pinned event is just re-homing the
 // node in the wheel. The callback is a bare function pointer, so firing

@@ -1,23 +1,31 @@
-// Simulation façade: clock + scheduler + run loop + per-run RNG.
+// Simulation façade: clock + scheduler + arrival calendar + run loop +
+// per-run RNG.
 //
 // One `Simulator` instance is one independent simulated world. Nothing in
 // the library uses global mutable state, so many Simulators can run
 // concurrently on different threads (the experiment harness relies on this).
 //
+// One run loop serves every world. Timers and app work run on the wheel;
+// packet arrivals run from the arrival calendar (sim/arrival_calendar.h),
+// which the egress ports of this world arm with their wires. At each tick
+// calendar deliveries run before wheel events.
+//
 // A Simulator can also be one *shard* of a larger world: the conservative
 // parallel engine (net/parallel.h) builds S Simulators over the same seed,
 // gives them shared construction-time id sequences (so stream and port ids
-// are assigned identically regardless of S), and drives each shard's wheel
-// through bounded time windows from its own run loop. The hooks that mode
-// needs — BindShard, RunWindow, SetNow — are inert in ordinary
-// single-Simulator runs.
+// are assigned identically regardless of S), and drives each shard through
+// bounded time windows (RunWindow) of the same run loop. A single-Simulator
+// world is the S = 1 case without the coordinator: BindShard and SetNow are
+// inert there.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "dctcpp/sim/arrival_calendar.h"
 #include "dctcpp/sim/scheduler.h"
 #include "dctcpp/util/arena.h"
 #include "dctcpp/util/invariants.h"
@@ -76,8 +84,21 @@ class Simulator {
   }
 
   /// Allocates the next global egress-port id (the shard-count-invariant
-  /// half of the canonical calendar delivery key; see net/parallel.h).
+  /// half of every arrival key; see sim/arrival_calendar.h).
   std::uint64_t NextPortId() { return sequences_->next_port_id++; }
+
+  /// This world's packet arrivals: a local egress port arms it with its
+  /// own wire, a cross-shard port feeding this shard with its inbound
+  /// ring.
+  ArrivalCalendar& calendar() { return calendar_; }
+
+  /// Declares a local link: no event at u can arm the calendar with an
+  /// arrival due before u + `lookahead` over it. The minimum over all local
+  /// links bounds how far the run loop may run wheel events blind.
+  void ObserveLocalLink(Tick lookahead) {
+    DCTCPP_ASSERT(lookahead > 0);
+    lookahead_ = std::min(lookahead_, lookahead);
+  }
 
   /// The always-on invariant recorder (see util/invariants.h). Datapath
   /// and transport components report violations and maintain the packet
@@ -108,8 +129,9 @@ class Simulator {
 
   void Cancel(EventId id) { scheduler_.Cancel(id); }
 
-  /// Runs until the event queue drains, `Stop()` is called, or the clock
-  /// passes `deadline`. Returns the number of events executed by this call.
+  /// Runs until the wheel and calendar drain, `Stop()` is called, or the
+  /// clock passes `deadline`. Returns the number of events (wheel events
+  /// plus deliveries) executed by this call.
   std::uint64_t RunUntil(Tick deadline);
 
   /// Runs until the event queue drains or `Stop()` is called.
@@ -130,7 +152,12 @@ class Simulator {
 
   bool stopped() const { return stopped_; }
 
-  std::uint64_t events_executed() const { return scheduler_.executed(); }
+  /// Wheel events plus calendar deliveries, ever.
+  std::uint64_t events_executed() const {
+    return scheduler_.executed() + delivered_;
+  }
+  /// Calendar deliveries (packets handed to a node of this world), ever.
+  std::uint64_t deliveries() const { return delivered_; }
 
   /// Datapath throughput counter: packets accepted by any egress port of
   /// this world (bumped by EgressPort::Send on successful enqueue). The
@@ -157,20 +184,19 @@ class Simulator {
   ParallelSimulation* parallel() const { return parallel_; }
   int shard_id() const { return shard_id_; }
 
-  /// Runs every pending wheel event with timestamp strictly before
-  /// `end` (ignoring Stop — a shard always completes its window). Returns
-  /// the number of events executed. The clock mirrors each event's
+  /// Runs every pending event (wheel or calendar) with timestamp strictly
+  /// before `end`, ignoring Stop — a shard always completes its window.
+  /// Returns the number of events executed. The clock mirrors each event's
   /// timestamp exactly as in RunUntil but is NOT advanced to `end`
   /// afterwards: windows are half-open and the next window's events may
   /// land at any tick >= the last executed one.
   std::uint64_t RunWindow(Tick end) {
-    if (end <= 0) return 0;
-    bool no_stop = false;
-    return scheduler_.RunLoop(end - 1, &no_stop, &now_);
+    const bool no_stop = false;
+    return RunLoop(end, &no_stop);
   }
 
-  /// Advances the clock without running events (calendar deliveries and
-  /// final deadline alignment in sharded runs). Monotonic only.
+  /// Advances the clock without running events (final deadline alignment
+  /// in sharded runs). Monotonic only.
   void SetNow(Tick t) {
     DCTCPP_ASSERT(t >= now_);
     now_ = t;
@@ -206,10 +232,17 @@ class Simulator {
   }
 
  private:
+  /// The one run loop: events before `end` in canonical order, returning
+  /// after the first event that sets `*stop`.
+  std::uint64_t RunLoop(Tick end, const bool* stop);
+
   Tick now_ = 0;
   bool stopped_ = false;
   std::uint64_t seed_ = 1;
   std::uint64_t packets_forwarded_ = 0;
+  std::uint64_t delivered_ = 0;
+  /// Minimum ObserveLocalLink bound; kTickMax while no local link exists.
+  Tick lookahead_ = kTickMax;
   SharedSequences own_sequences_;
   SharedSequences* sequences_ = &own_sequences_;
   ParallelSimulation* parallel_ = nullptr;
@@ -220,6 +253,7 @@ class Simulator {
   NetworkInvariants invariants_;
   Arena arena_;
   Scheduler scheduler_;
+  ArrivalCalendar calendar_;
   Rng rng_;
 };
 

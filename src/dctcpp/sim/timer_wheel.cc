@@ -538,7 +538,7 @@ std::uint64_t TimerWheelScheduler::RunSlotBatch(const bool* stop) {
     // into cache (the address computation is just a chunk-pointer load, no
     // dependent dereference), and the *context object* one ahead — by then
     // that node's line is resident, so reading ctx doesn't stall. The
-    // contexts are the EgressPorts/sockets about to run (or a one-shot's
+    // contexts are the sockets and timers about to run (or a one-shot's
     // action slot); their first line is exactly what dispatch touches
     // first.
     if (b + 2 < batch_.size()) {

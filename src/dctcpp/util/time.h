@@ -24,6 +24,11 @@ inline constexpr Tick kSecond = 1000 * kMillisecond;
 /// A sentinel usable as "no deadline".
 inline constexpr Tick kTickMax = INT64_MAX;
 
+/// Saturating tick addition (deadlines may be kTickMax). `b` >= 0.
+constexpr Tick SatAddTick(Tick a, Tick b) {
+  return a > kTickMax - b ? kTickMax : a + b;
+}
+
 namespace time_literals {
 
 constexpr Tick operator""_ns(unsigned long long v) {

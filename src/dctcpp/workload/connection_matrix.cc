@@ -297,8 +297,8 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
 
   result.events = psim.events_executed();
   result.packets_forwarded = psim.packets_forwarded();
+  result.critical_events = psim.critical_events();
   for (int s = 0; s < psim.shard_count(); ++s) {
-    result.shard_events.push_back(psim.shard_events(s));
     result.shard_times.push_back(psim.shard_times(s));
   }
   result.sync_rounds = psim.sync_rounds();

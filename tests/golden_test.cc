@@ -13,8 +13,9 @@
 // table also pins shard-count and checkpoint invariance: the lossy
 // incast-rows fabric run at 1 and 4 shards shares one value, and the
 // checkpoint row's restored run must equal its uninterrupted run. The
-// incast_*, lossy_*, chaos_* and burst* rows run on the serial engine;
-// the fabric and churn rows pin the sharded engine.
+// incast_*, lossy_*, chaos_* and burst* rows run on a single Simulator,
+// the fabric and churn rows on ParallelSimulation; both use one run loop
+// and one equal-tick delivery order (sim/arrival_calendar.h).
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -251,25 +252,25 @@ constexpr std::uint64_t kChurnCheckpointLossy = 0x5ff60890db9398a6ull;
 const GoldenRow kRows[] = {
     {"incast_dctcp_n40",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcp, 40)); },
-     0x93827873eaf8ddc0ull},
+     0x176d9ac1b6d1e440ull},
     {"incast_dctcp_n200",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcp, 200)); },
-     0x5ea2f5eda54385f8ull},
+     0x496cad786ff5b253ull},
     {"incast_dctcp_n1400",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcp, 1400)); },
-     0xda2a8dc9e3f99126ull},
+     0x9c4664e8a6bc6fbfull},
     {"incast_dctcpplus_n40",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcpPlus, 40)); },
-     0xfe186e16b0be2844ull},
+     0xff98c2145571467dull},
     {"incast_dctcpplus_n200",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcpPlus, 200)); },
      0x3187bed11c5d5b5aull},
     {"incast_dctcpplus_n1400",
      [] { return RunIncastRow(CleanIncast(Protocol::kDctcpPlus, 1400)); },
-     0xe880a96e03c56ba3ull},
+     0x6fcf7c71780b8a66ull},
     {"incast_newreno_n40",
      [] { return RunIncastRow(CleanIncast(Protocol::kTcp, 40)); },
-     0xd747a0e66946f7e9ull},
+     0x5d58e70b6d9ca1f5ull},
     {"lossy_dctcp_n40",
      [] {
        return RunIncastRow(ImpairedIncast(Protocol::kDctcp, 40, Lossy()));
@@ -279,10 +280,10 @@ const GoldenRow kRows[] = {
      [] {
        return RunIncastRow(ImpairedIncast(Protocol::kDctcp, 40, Chaos()));
      },
-     0x9352eeb39a11f146ull},
+     0x08f08f49a703dbe0ull},
     {"burst1_dctcp_n40",
      [] { return RunIncastRow(SoakIncast(Protocol::kDctcp, 40, kBurst1)); },
-     0x7188444bb443152bull},
+     0xe559161492b410b5ull},
     {"burst1_dctcpplus_n40",
      [] {
        return RunIncastRow(SoakIncast(Protocol::kDctcpPlus, 40, kBurst1));

@@ -1,9 +1,10 @@
 // Tests for the conservative-parallel engine (net/parallel.h): arrival
-// calendar ordering over port streams, the window gang's epoch protocol, the sharded egress
-// port's lazy transmitter, and the load-bearing
+// calendar ordering over port streams, the window gang's epoch protocol,
+// the egress port's lazy transmitter on every engine, and the load-bearing
 // property of the whole design — a fabric run (here the paper's fan-in
 // tiled over a small fat-tree) is bit-identical at every shard count,
-// whatever thread pool runs the windows.
+// whatever thread pool runs the windows, and a single Simulator running
+// the same topology is the S = 1 case.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "dctcpp/net/parallel.h"
+#include "dctcpp/net/topology.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/connection_matrix.h"
@@ -358,10 +360,10 @@ TEST(ShardWindowTest, ImpairedFlappingRunsHaveZeroViolations) {
 }
 
 TEST(ShardDeterminismTest, RedMarkingAndStagger) {
-  // RED draws randomness per mark decision, in sharded mode from the
-  // port's private stream; the stagger spreads the fan-in's starts. The
-  // thresholds sit below the rows' standing queue so RED actually marks:
-  // the RED run must differ from the same run under instantaneous-K.
+  // RED draws randomness per mark decision from the port's private
+  // stream; the stagger spreads the fan-in's starts. The thresholds sit
+  // below the rows' standing queue so RED actually marks: the RED run
+  // must differ from the same run under instantaneous-K.
   FabricRunConfig config = BaseConfig(Protocol::kDctcpPlus, 3);
   config.start_stagger = 20 * kMicrosecond;
   config.link.red_config.min_th = 2 * 1024;
@@ -400,24 +402,33 @@ class RecordingSink : public PacketSink {
   Simulator& sim_;
 };
 
-// A sharded port settles serializations lazily and arms no wheel event
-// per packet: the shard's calendar fires its deliveries, at S = 1 (from
-// the port's own wire) and S = 2 (from the inbound ring) alike.
+// A port settles serializations lazily and arms no wheel event per
+// packet: its Simulator's calendar fires the deliveries, on a serial
+// Simulator and at S = 1 (from the port's own wire) and S = 2 (from the
+// inbound ring) alike.
 TEST(ShardedPortTest, CarriesPacketsWithoutWheelEvents) {
   constexpr int kPackets = 200;
-  for (const int shards : {1, 2}) {
+  for (const int shards : {0, 1, 2}) {  // 0: a serial Simulator
     SCOPED_TRACE(shards);
-    ParallelSimulation psim(1, shards);
-    Simulator& dst = psim.shard(shards - 1);
+    Simulator serial(1);
+    ParallelSimulation psim(1, std::max(shards, 1));
+    std::vector<Simulator*> sims;
+    for (int i = 0; i < shards; ++i) sims.push_back(&psim.shard(i));
+    if (shards == 0) sims.push_back(&serial);
+    Simulator& dst = *sims.back();
     RecordingSink sink(dst);
     LinkConfig config;
     config.buffer_bytes = kPackets * (kMss + kHeaderBytes);
     {
       // Torn down before the checks: the destructor runs the port's
       // conservation check once more, on its final counters.
-      EgressPort port(psim.shard(0), config, sink, &dst);
+      EgressPort port(*sims.front(), config, sink, &dst);
       for (int i = 0; i < kPackets; ++i) port.Send(EctSegment());
-      psim.RunUntil(kTickMax);
+      if (shards == 0) {
+        serial.Run();
+      } else {
+        psim.RunUntil(kTickMax);
+      }
     }
 
     const Tick tx = config.rate.TransmissionTime(kMss + kHeaderBytes);
@@ -426,12 +437,16 @@ TEST(ShardedPortTest, CarriesPacketsWithoutWheelEvents) {
       EXPECT_EQ(sink.arrivals[static_cast<std::size_t>(i)].first,
                 (i + 1) * tx + config.propagation_delay);
     }
-    EXPECT_EQ(psim.calendar_deliveries(), static_cast<std::uint64_t>(kPackets));
-    EXPECT_EQ(psim.events_executed(), static_cast<std::uint64_t>(kPackets));
-    for (int i = 0; i < shards; ++i) {
-      EXPECT_EQ(psim.shard(i).events_executed(), 0u) << "shard " << i;
-      EXPECT_EQ(psim.shard(i).invariants().violations(), 0u);
+    std::uint64_t deliveries = 0;
+    std::uint64_t events = 0;
+    for (Simulator* sim : sims) {
+      EXPECT_EQ(sim->scheduler().executed(), 0u);
+      EXPECT_EQ(sim->invariants().violations(), 0u);
+      deliveries += sim->deliveries();
+      events += sim->events_executed();
     }
+    EXPECT_EQ(deliveries, static_cast<std::uint64_t>(kPackets));
+    EXPECT_EQ(events, static_cast<std::uint64_t>(kPackets));
   }
 }
 
@@ -480,6 +495,79 @@ TEST(ShardedPortTest, EqualTickCompletionSettlesBeforeAdmission) {
     EXPECT_EQ(serial_sink.arrivals[2].second, Ecn::kEct);
     EXPECT_EQ(sharded_sink.arrivals, serial_sink.arrivals);
   }
+}
+
+// --- one engine ------------------------------------------------------------
+
+/// (tick, uid) of every packet one receiving host took in, in order.
+using HostArrivals = std::vector<std::pair<Tick, std::uint64_t>>;
+
+/// One switch, two receivers and six senders; sender i sends three
+/// segments at t = 0 to receiver i % 2, the senders called in reverse
+/// construction (so reverse port-gid) order. Every sender's first segment
+/// reaches the switch on one tick, so only the equal-tick rule decides the
+/// order in which the switch queues them toward each receiver. `shards`
+/// = 0 builds through Network(Simulator&), otherwise through a
+/// ParallelSimulation of that many shards (nodes placed round-robin).
+std::vector<HostArrivals> RunEqualTickTree(int shards) {
+  constexpr int kSenders = 6;
+  constexpr int kReceivers = 2;
+  constexpr PortNum kPort = 7;
+  Simulator serial(1);
+  ParallelSimulation psim(1, std::max(shards, 1));
+  std::vector<HostArrivals> arrivals(kReceivers);
+  {
+    Network net = shards == 0 ? Network(serial) : Network(psim);
+    Switch& sw = net.AddSwitch("sw");
+    std::vector<Host*> receivers;
+    std::vector<Host*> senders;
+    for (int r = 0; r < kReceivers; ++r) {
+      receivers.push_back(&net.AddHost("r" + std::to_string(r)));
+    }
+    for (int i = 0; i < kSenders; ++i) {
+      senders.push_back(&net.AddHost("s" + std::to_string(i)));
+    }
+    const LinkConfig config;
+    for (Host* h : receivers) net.ConnectHost(*h, sw, config);
+    for (Host* h : senders) net.ConnectHost(*h, sw, config);
+    net.InstallRoutes();
+    for (int r = 0; r < kReceivers; ++r) {
+      Host* host = receivers[static_cast<std::size_t>(r)];
+      HostArrivals* log = &arrivals[static_cast<std::size_t>(r)];
+      host->Listen(kPort, [host, log](const Packet& pkt) {
+        log->emplace_back(host->sim().Now(), pkt.uid);
+      });
+    }
+    for (int i = kSenders - 1; i >= 0; --i) {
+      Host& sender = *senders[static_cast<std::size_t>(i)];
+      for (int k = 0; k < 3; ++k) {
+        Packet pkt = EctSegment();
+        pkt.src = sender.id();
+        pkt.dst = receivers[static_cast<std::size_t>(i % kReceivers)]->id();
+        pkt.tcp.dst_port = kPort;
+        sender.Send(pkt);
+      }
+    }
+    if (shards == 0) {
+      serial.Run();
+      EXPECT_EQ(serial.invariants().violations(), 0u);
+    } else {
+      psim.RunUntil(kTickMax);
+      EXPECT_EQ(psim.invariant_violations(), 0u);
+    }
+  }
+  return arrivals;
+}
+
+// One delivery order for every engine: equal-tick arrivals leave in port
+// gid order, never in the order their senders happened to admit them, so
+// the serial Simulator and the sharded engine at S = 1 and S = 2 hand
+// every receiver the same (tick, uid) sequence.
+TEST(OneEngineTest, SerialAndShardedRunsDeliverIdentically) {
+  const std::vector<HostArrivals> serial = RunEqualTickTree(0);
+  for (const HostArrivals& a : serial) ASSERT_EQ(a.size(), 9u);
+  EXPECT_EQ(RunEqualTickTree(1), serial);
+  EXPECT_EQ(RunEqualTickTree(2), serial);
 }
 
 TEST(ShardedIncastTest, ProducesSaneResults) {

@@ -444,7 +444,7 @@ TEST(ChurnTest, FootprintPerFlowStaysBounded) {
 // constructor; materializing slots on first use must reproduce them
 // (events_executed is re-recorded whenever the engine's event count per
 // packet changes). The fingerprint hashes the checkpoint blob, so it is
-// per format version (recorded at v5).
+// per format version (recorded at v6).
 TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   ChurnConfig cfg = SmallChurn(1);
   cfg.max_live_per_host = 4;
@@ -464,7 +464,7 @@ TEST(ChurnTest, PoolExhaustionDropsMatchRecordedCounts) {
   EXPECT_EQ(s.events_executed, 18519u);
   EXPECT_EQ(s.packets_forwarded, 15468u);
   EXPECT_EQ(s.violations, 0u);
-  EXPECT_EQ(w.Fingerprint(), 0x5a38daf88d489766ull);
+  EXPECT_EQ(w.Fingerprint(), 0x1a598bd9b2f41c81ull);
   // Never more slots than the pools' capacity: 16 hosts x 4 x 2 sides.
   EXPECT_LE(w.MeasureFootprint().materialized_slots, 128u);
 }
